@@ -2,11 +2,12 @@
 
 The compiled backend is used when available; PLACTIC_PURE=1 forces the
 pure-Python fallback.  Letters outside C int range overflow the compiled
-insertion, so the thin wrappers retry those calls in pure Python.
+kernels, so every entry point retries such calls in pure Python.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from . import _pure
@@ -21,26 +22,22 @@ else:
 
 BACKEND: str = _impl.BACKEND
 
-count_commuting = _impl.count_commuting
-commuting_words = _impl.commuting_words
+
+def _retry_in_pure(name):
+    # Both backends are looked up at call time, so a wrapper installed on
+    # either module later still sees its calls.
+    @functools.wraps(getattr(_pure, name))
+    def call(*args, **kwargs):
+        try:
+            return getattr(_impl, name)(*args, **kwargs)
+        except OverflowError:
+            return getattr(_pure, name)(*args, **kwargs)
+
+    return call
 
 
-def insertion_rows(word):
-    try:
-        return _impl.insertion_rows(word)
-    except OverflowError:
-        return _pure.insertion_rows(word)
-
-
-def insert_rows(rows, letters):
-    try:
-        return _impl.insert_rows(rows, letters)
-    except OverflowError:
-        return _pure.insert_rows(rows, letters)
-
-
-def commutes(u, w):
-    try:
-        return _impl.commutes(u, w)
-    except OverflowError:
-        return _pure.commutes(u, w)
+insertion_rows = _retry_in_pure("insertion_rows")
+insert_rows = _retry_in_pure("insert_rows")
+commutes = _retry_in_pure("commutes")
+count_commuting = _retry_in_pure("count_commuting")
+commuting_words = _retry_in_pure("commuting_words")

@@ -14,7 +14,7 @@ from typing import Iterable
 from . import _kernels
 from .errors import BudgetExceededError
 from .rsk import lwi, lwi_ending_at, p_tableau
-from .tableau import Tableau, Word, row_count_filter, word
+from .tableau import Word, row_count_filter, word
 
 DEFAULT_BUDGET = 10**8
 
@@ -75,15 +75,11 @@ def is_yamanouchi(w: Iterable[int]) -> bool:
     return True
 
 
-def _columns(t: Tableau) -> tuple:
-    return t.columns()
-
-
 def test_c12(w: Iterable[int]) -> bool:
     """Membership in C(12) read off P(w): singleton columns hold 1s or 2s
     and, if any exist, both a singleton 1 and a singleton 2 occur; every
     column of height >= 2 contains both a 1 and a 2."""
-    cols = _columns(p_tableau(word(w)))
+    cols = p_tableau(word(w)).columns()
     singles = [col[0] for col in cols if len(col) == 1]
     if singles:
         if any(a not in (1, 2) for a in singles):
@@ -96,7 +92,7 @@ def test_c12(w: Iterable[int]) -> bool:
 def test_c212(w: Iterable[int]) -> bool:
     """Membership in C(212): like C(12) but every singleton column must be
     a singleton 2."""
-    cols = _columns(p_tableau(word(w)))
+    cols = p_tableau(word(w)).columns()
     for col in cols:
         if len(col) == 1:
             if col[0] != 2:

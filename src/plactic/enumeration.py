@@ -342,16 +342,11 @@ def count_by_shapes(family: Family, n: int, m: int, bound: int = DEFAULT_EXTENSI
             head = _word12_head(l1, l2, m)
         if head == 0:
             continue
-        tail = _shifted_ssyt_count(tail_shape, r, m, bound)
+        tail = ssyt_count(tail_shape, m - r, bound)  # entries in {r+1, ..., m}
         if tail == 0:
             continue
         total += head * tail * f_lambda(lam)
     return total
-
-
-def _shifted_ssyt_count(shape: tuple, r: int, m: int, bound: int) -> int:
-    """Semistandard tableaux of ``shape`` with entries in {r+1, ..., m}."""
-    return ssyt_count(shape, m - r, bound)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Sweep engine for the four conjectures.
 
-Each check enumerates a configured range, tests every instance, and
-returns a SweepReport.  Reports serialize to a canonical JSON form that
-is byte-stable across reruns and shard counts; wall-clock time is kept
-on the report object and pinned to 0 in the JSON.
+The maxri, stability and rc checks list the members of C(u) in the w
+range with the kernel scan, one scan per (u, length) block, and test only
+those members.  Each check returns a SweepReport.  Reports serialize to a
+canonical JSON form that is byte-stable across reruns; wall-clock time is
+kept on the report object and pinned to 0 in the JSON.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .centralizer import default_budget, in_centralizer
+from .centralizer import centralizer_words, default_budget, in_centralizer
 from .enumeration import expand_binomial
 from .errors import BudgetExceededError
 from .involutions import rc_m, tau_m
@@ -33,6 +34,8 @@ class SweepConfig:
     u ranges over words with letters in [u_alphabet], 1 <= |u| <= u_length
     and, when u_sum_bound is set, max(u) + |u| <= u_sum_bound; w ranges
     over all words with letters in [w_alphabet] and |w| <= w_length.
+    ``shards`` is validated for compatibility but read by nothing: every
+    sweep runs in one process.
     """
 
     conjecture: str
@@ -58,7 +61,7 @@ class SweepConfig:
         return self.budget if self.budget is not None else default_budget()
 
     def echo(self, **extra) -> dict:
-        # shards are an execution detail: reports must not depend on them
+        # shards never reach the report
         out = {
             "u_alphabet": self.u_alphabet,
             "u_length": self.u_length,
@@ -119,32 +122,30 @@ def _u_range(cfg: SweepConfig) -> list:
     return out
 
 
-def _block_sizes(total: int, shards: int) -> list:
-    base, extra = divmod(total, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
+def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
+    """Call test(i, w) on every w in C(us[i]) within the w range.
 
-
-def _run_sweep(total: int, instances: Iterator, check: Callable, shards: int):
-    """Process instances block by block in a fixed order.
-
-    ``check`` returns a counterexample payload or None.  Interruption
-    ends the sweep after the current instance, leaving a partial count.
-    Blocks are contiguous slices of the same stream, so the shard count
-    never changes what gets checked or in which order.
+    Members come from one kernel scan per (u, length) block, in the order
+    of words_up_to; test returns a counterexample payload or None.
+    Returns (checked, counterexamples, complete), where checked counts the
+    words of every finished block.  This is the one place an interrupt is
+    caught: it ends the sweep inside the block it hits, which is not
+    counted.
     """
+    budget = cfg.resolved_budget()
     checked = 0
     counterexamples = []
-    complete = True
     try:
-        for size in _block_sizes(total, shards):
-            for _ in range(size):
-                payload = check(next(instances))
-                checked += 1
-                if payload is not None:
-                    counterexamples.append(payload)
+        for i, u in enumerate(us):
+            for n in range(cfg.w_length + 1):
+                for w in centralizer_words(u, n, cfg.w_alphabet, budget=budget):
+                    payload = test(i, w)
+                    if payload is not None:
+                        counterexamples.append(payload)
+                checked += cfg.w_alphabet**n
     except KeyboardInterrupt:
-        complete = False
-    return checked, counterexamples, complete
+        return checked, counterexamples, False
+    return checked, counterexamples, True
 
 
 def _require_budget(total: int, budget: int):
@@ -168,30 +169,22 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
     total = len(us) * n_w
     _require_budget(total, cfg.resolved_budget())
+    bounds = [(max(u), len(p_tableau(u).rows)) for u in us]
 
-    def instances():
-        for u in us:
-            m = max(u)
-            ell = len(p_tableau(u).rows)
-            for w in words_up_to(cfg.w_alphabet, cfg.w_length):
-                yield u, m, ell, w
-
-    def check(inst):
-        u, m, ell, w = inst
-        if not in_centralizer(u, w):
-            return None
+    def test(i, w):
+        m, ell = bounds[i]
         rows = p_tableau(w).rows
-        for i in range(min(ell, len(rows))):
-            if rows[i][-1] > m:
+        for r in range(min(ell, len(rows))):
+            if rows[r][-1] > m:
                 return {
-                    "u": list(u),
+                    "u": list(us[i]),
                     "w": list(w),
-                    "detail": f"row {i + 1} of the P-tableau has max "
-                              f"{rows[i][-1]} > max(u) = {m}",
+                    "detail": f"row {r + 1} of the P-tableau has max "
+                              f"{rows[r][-1]} > max(u) = {m}",
                 }
         return None
 
-    checked, cx, complete = _run_sweep(total, instances(), check, cfg.shards)
+    checked, cx, complete = _sweep_members(us, cfg, test)
     elapsed = int((time.monotonic() - t0) * 1000)
     return SweepReport(
         conjecture="maxri",
@@ -218,19 +211,10 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
 
     sets: dict = {k: set() for k in range(1, cfg.k_bound + 1)}
 
-    def instances():
-        for k in range(1, cfg.k_bound + 1):
-            uk = u * k
-            for w in words_up_to(cfg.w_alphabet, cfg.w_length):
-                yield k, uk, w
+    def test(i, w):
+        sets[i + 1].add(w)
 
-    def check(inst):
-        k, uk, w = inst
-        if in_centralizer(uk, w):
-            sets[k].add(w)
-        return None
-
-    checked, _, complete = _run_sweep(total, instances(), check, cfg.shards)
+    checked, _, complete = _sweep_members([u * k for k in sets], cfg, test)
     observed: dict = {"set_sizes": [len(sets[k]) for k in range(1, cfg.k_bound + 1)]}
     if complete:
         non_containments = []
@@ -288,26 +272,23 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
     _require_budget(total, resolved)
 
     table: dict = {}
-
-    def check(n):
+    cx = []
+    for n in range(2, n_max + 1):
         poly = expand_binomial((1,), n)
         table[str(n)] = list(poly.coefficients)
         bad = _coefficient_failures(n, poly.coefficients)
         if bad:
-            return {
+            cx.append({
                 "u": [1],
                 "w": [],
                 "detail": f"n={n}, coefficients {list(poly.coefficients)}: " + "; ".join(bad),
-            }
-        return None
-
-    checked, cx, complete = _run_sweep(total, iter(range(2, n_max + 1)), check, 1)
+            })
     elapsed = int((time.monotonic() - t0) * 1000)
     return SweepReport(
         conjecture="coeffs",
         config={"n_max": n_max, "budget": resolved},
-        checked=checked,
-        verdict=_verdict(cx, complete),
+        checked=total,
+        verdict=_verdict(cx, True),
         counterexamples=tuple(cx),
         elapsed_ms=elapsed,
         observed={"coefficients": table},
@@ -329,32 +310,26 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     total = 2 * n_w
     _require_budget(total, cfg.resolved_budget())
 
-    tableaux = {"forward": set(), "reverse": set()}
+    # side 0 maps C(u) towards C(u_rc), side 1 maps back
+    sides = [u, u_rc]
+    tableaux = [set(), set()]
 
-    def instances():
-        for w in words_up_to(cfg.w_alphabet, cfg.w_length):
-            yield "forward", u, u_rc, w
-        for w in words_up_to(cfg.w_alphabet, cfg.w_length):
-            yield "reverse", u_rc, u, w
-
-    def check(inst):
-        side, u_from, u_to, w = inst
-        if not in_centralizer(u_from, w):
-            return None
+    def test(i, w):
         t = p_tableau(w)
-        tableaux[side].add(t)
+        tableaux[i].add(t)
         image = tau_m(t, m)
-        if in_centralizer(u_to, image.row_word()):
+        target = sides[1 - i]
+        if in_centralizer(target, image.row_word()):
             return None
         return {
-            "u": list(u_from),
+            "u": list(sides[i]),
             "w": list(w),
             "detail": f"tau_{m} image with row word "
                       f"[{format_word(image.row_word())}] is not in "
-                      f"C({format_word(u_to)})",
+                      f"C({format_word(target)})",
         }
 
-    checked, cx, complete = _run_sweep(total, instances(), check, cfg.shards)
+    checked, cx, complete = _sweep_members(sides, cfg, test)
     elapsed = int((time.monotonic() - t0) * 1000)
     return SweepReport(
         conjecture="rc",
@@ -364,8 +339,8 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
         counterexamples=tuple(cx),
         elapsed_ms=elapsed,
         observed={
-            "c_u_tableaux": len(tableaux["forward"]),
-            "c_rc_tableaux": len(tableaux["reverse"]),
+            "c_u_tableaux": len(tableaux[0]),
+            "c_rc_tableaux": len(tableaux[1]),
         },
     )
 

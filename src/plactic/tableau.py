@@ -198,23 +198,6 @@ class Tableau:
         return format_tableau(self)
 
 
-def validate_ssyt(rows: Iterable[Iterable[int]]) -> Tableau:
-    """Validate rows as a semistandard tableau, returning the Tableau."""
-    return Tableau(rows)
-
-
-def shape(t: Tableau) -> tuple:
-    return t.shape
-
-
-def row_word(t: Tableau) -> Word:
-    return t.row_word()
-
-
-def alpha(t: Tableau, b: int) -> tuple:
-    return t.alpha(b)
-
-
 def format_tableau(t: Tableau) -> str:
     """Canonical text form: one bracketed row per line."""
     return "\n".join("[" + ",".join(str(a) for a in row) + "]" for row in t.rows)

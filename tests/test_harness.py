@@ -16,16 +16,82 @@ from plactic import (
     rc_m,
 )
 from plactic.harness import (
-    _block_sizes,
     _coefficient_failures,
     _require_budget,
-    _run_sweep,
     _u_range,
     _verdict,
     count_words_up_to,
     rc_pairs,
     words_up_to,
 )
+
+GOLDEN_BUDGET = 10**6
+
+# Canonical reports recorded from the per-pair harness (every (u, w) pair
+# through in_centralizer); the scan-based sweeps must reproduce them byte
+# for byte.
+GOLDEN_REPORTS = [
+    (
+        lambda: check_max_ri(SweepConfig(
+            "maxri", u_alphabet=3, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)),
+        '{"checked":1452,"config":{"budget":1000000,"k_bound":4,"u_alphabet":3,"u_length":2,'
+        '"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"maxri",'
+        '"counterexamples":[],"elapsed_ms":0,"observed":{"u_words":12},"verdict":"holds"}',
+    ),
+    (
+        lambda: check_stability((1, 2), SweepConfig(
+            "stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
+        '{"checked":363,"config":{"budget":1000000,"k_bound":3,"u":[1,2],"u_alphabet":4,'
+        '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"stability",'
+        '"counterexamples":[],"elapsed_ms":0,"observed":{"K":1,"L":1,"non_containments":[],'
+        '"set_sizes":[14,14,14]},"verdict":"holds"}',
+    ),
+    (
+        lambda: check_stability((2, 1, 2), SweepConfig(
+            "stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
+        '{"checked":363,"config":{"budget":1000000,"k_bound":3,"u":[2,1,2],"u_alphabet":4,'
+        '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"stability",'
+        '"counterexamples":[],"elapsed_ms":0,"observed":{"K":1,"L":1,"non_containments":[],'
+        '"set_sizes":[17,17,17]},"verdict":"holds"}',
+    ),
+    (
+        lambda: check_stability((1, 2, 3), SweepConfig(
+            "stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
+        '{"checked":363,"config":{"budget":1000000,"k_bound":3,"u":[1,2,3],"u_alphabet":4,'
+        '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"stability",'
+        '"counterexamples":[],"elapsed_ms":0,"observed":{"K":1,"L":2,"non_containments":[],'
+        '"set_sizes":[6,10,10]},"verdict":"holds"}',
+    ),
+    (
+        lambda: check_rc((1,), 2, SweepConfig(
+            "rc", w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)),
+        '{"checked":242,"config":{"budget":1000000,"k_bound":4,"m":2,"u":[1],"u_alphabet":4,'
+        '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"rc",'
+        '"counterexamples":[],"elapsed_ms":0,"observed":{"c_rc_tableaux":16,"c_u_tableaux":16},'
+        '"verdict":"holds"}',
+    ),
+    (
+        lambda: check_rc_sweep(SweepConfig(
+            "rc", u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3,
+            budget=GOLDEN_BUDGET)),
+        '{"checked":800,"config":{"budget":1000000,"k_bound":4,"u_alphabet":2,"u_length":2,'
+        '"u_sum_bound":4,"w_alphabet":3,"w_length":3},"conjecture":"rc","counterexamples":[],'
+        '"elapsed_ms":0,"observed":{"pairs":10},"verdict":"holds"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("run, expected", GOLDEN_REPORTS)
+def test_golden_reports(run, expected):
+    assert run().to_json() == expected
+
+
+def test_golden_report_ignores_env_budget_when_given_one(monkeypatch):
+    # every per-length scan must see the sweep's own budget, not the env default
+    monkeypatch.setenv("PLACTIC_BUDGET", "10")
+    run, expected = GOLDEN_REPORTS[0]
+    assert run().to_json() == expected
+
 
 KNOWN_COEFFS = {
     "1": [1],
@@ -99,36 +165,6 @@ def test_u_range_applies_sum_bound():
     assert _u_range(cfg) == [(1,), (2,)]
 
 
-def test_block_sizes():
-    assert _block_sizes(10, 3) == [4, 3, 3]
-    assert _block_sizes(2, 5) == [1, 1, 0, 0, 0]
-    assert _block_sizes(0, 2) == [0, 0]
-    for total, shards in [(91, 4), (7, 7), (5, 1)]:
-        assert sum(_block_sizes(total, shards)) == total
-
-
-def test_run_sweep_collects_payloads():
-    def check(i):
-        return {"i": i} if i in (3, 7) else None
-
-    checked, cx, complete = _run_sweep(10, iter(range(10)), check, 3)
-    assert checked == 10
-    assert cx == [{"i": 3}, {"i": 7}]
-    assert complete
-
-
-def test_run_sweep_interrupt_leaves_partial_count():
-    def check(i):
-        if i == 4:
-            raise KeyboardInterrupt
-        return None
-
-    checked, cx, complete = _run_sweep(10, iter(range(10)), check, 2)
-    assert checked == 4
-    assert cx == []
-    assert not complete
-
-
 def test_verdict_priority():
     assert _verdict([], True) == "holds"
     assert _verdict([], False) == "incomplete"
@@ -200,14 +236,16 @@ def test_stability_bookkeeping_matches_direct_sets():
 
 
 def test_stability_reports_non_containments_but_still_holds(monkeypatch):
-    # fabricated membership: C(u) is everything, C(u^k) for k >= 2 drops
+    # fabricated member scan: C(u) is everything, C(u^k) for k >= 2 drops
     # the empty word, so containment first holds from K = 2
     import plactic.harness as harness
 
-    def fake(uk, w):
-        return len(uk) == 1 or len(w) > 0
+    def fake(uk, n, m, budget=None):
+        if len(uk) > 1 and n == 0:
+            return []
+        return list(itertools.product(range(1, m + 1), repeat=n))
 
-    monkeypatch.setattr(harness, "in_centralizer", fake)
+    monkeypatch.setattr(harness, "centralizer_words", fake)
     cfg = SweepConfig("stability", w_alphabet=2, w_length=2, k_bound=3)
     report = check_stability((9,), cfg)
     assert report.verdict == "holds"
@@ -218,22 +256,24 @@ def test_stability_reports_non_containments_but_still_holds(monkeypatch):
 
 
 def test_stability_interrupt_marks_incomplete(monkeypatch):
+    """An interrupt ends the sweep inside the (u^k, length) block it hits:
+    checked counts the words of the blocks that finished before it."""
     import plactic.harness as harness
 
     calls = {"n": 0}
-    real = in_centralizer
+    real = harness.centralizer_words
 
-    def flaky(uk, w):
+    def flaky(uk, n, m, budget=None):
         calls["n"] += 1
-        if calls["n"] == 10:
+        if calls["n"] == 5:  # k = 2, n = 1
             raise KeyboardInterrupt
-        return real(uk, w)
+        return real(uk, n, m, budget=budget)
 
-    monkeypatch.setattr(harness, "in_centralizer", flaky)
+    monkeypatch.setattr(harness, "centralizer_words", flaky)
     cfg = SweepConfig("stability", w_alphabet=2, w_length=2, k_bound=2)
     report = check_stability((1,), cfg)
     assert report.verdict == "incomplete"
-    assert report.checked == 9
+    assert report.checked == (1 + 2 + 4) + 1
     assert "K" not in report.observed
     assert "L" not in report.observed
     assert "non_containments" not in report.observed

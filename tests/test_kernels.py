@@ -122,6 +122,43 @@ def test_huge_letters_fall_back_to_pure():
     assert rows == p_oracle((1, big, big - 1))
 
 
+def test_compiled_overflow_falls_back_to_pure(monkeypatch):
+    """Every public kernel entry point retries in pure Python when the
+    compiled backend overflows, as it does for letters beyond C int."""
+    import importlib
+    import sys
+    import types
+
+    from plactic import _kernels, count_centralizer
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("Python int too large to convert to C long")
+
+    names = ("insertion_rows", "insert_rows", "commutes", "count_commuting", "commuting_words")
+    fake = types.ModuleType("plactic._kernels._speedups")
+    fake.BACKEND = "cython"
+    for name in names:
+        setattr(fake, name, overflow)
+    monkeypatch.delenv("PLACTIC_PURE", raising=False)
+    monkeypatch.setitem(sys.modules, "plactic._kernels._speedups", fake)
+    monkeypatch.setattr(_kernels, "_speedups", fake, raising=False)
+    try:
+        importlib.reload(_kernels)
+        assert _kernels.BACKEND == "cython"
+        big = 2**40
+        w = (big, 1, big + 1)
+        assert _kernels.insertion_rows(w) == _pure.insertion_rows(w)
+        assert _kernels.insert_rows(((1, big),), (2,)) == _pure.insert_rows(((1, big),), (2,))
+        assert _kernels.commutes((big, big), (big,))
+        assert not _kernels.commutes((big,), w)
+        assert _kernels.count_commuting((big, 1), 3, 2) == _pure.count_commuting((big, 1), 3, 2) == 1
+        assert _kernels.commuting_words((big, 1), 2, 2) == [(1, 1)]
+        assert count_centralizer((big,), 2, 2) == _pure.count_commuting((big,), 2, 2)
+    finally:
+        monkeypatch.undo()
+        importlib.reload(_kernels)
+
+
 def test_backend_name_exported():
     from plactic import BACKEND
 

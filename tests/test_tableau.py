@@ -15,7 +15,7 @@ from plactic import (
     parse_word,
     word,
 )
-from plactic.tableau import row_count_filter, validate_ssyt
+from plactic.tableau import row_count_filter
 
 # a mid-sized SSYT with a ragged shape, used as a fixed fixture
 SAMPLE = ((1, 1, 1, 3, 4, 4), (2, 3, 3, 4, 5), (3, 5, 5), (4,))
@@ -57,11 +57,6 @@ def test_bad_shape():
         Tableau(((1,), ()))
     with pytest.raises(BadShapeError):
         Tableau(((0, 1),))
-
-
-def test_validate_ssyt_passthrough():
-    assert validate_ssyt(SAMPLE).rows == SAMPLE
-    assert validate_ssyt(()).rows == ()
 
 
 def test_rows_immutable():
