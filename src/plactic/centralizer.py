@@ -115,14 +115,20 @@ def test_power(a: int, k: int, w: Iterable[int]) -> bool:
     return test_single_letter_cols(a, w)
 
 
-def _check_budget(n: int, m: int, budget) -> int:
-    total = m**n if n else 1
+def require_budget(total: int, budget, what: str) -> int:
+    """Raise BudgetExceeded when ``total`` (the count of ``what``) is over
+    the budget; None means default_budget().  Returns the budget used."""
     limit = default_budget() if budget is None else budget
     if total > limit:
-        raise BudgetExceededError(
-            f"enumerating [{m}]^{n} means {total} words, over the budget {limit}"
-        )
-    return total
+        raise BudgetExceededError(f"{what}: {total}, over the budget {limit}")
+    return limit
+
+
+def _word_total(n: int, m: int) -> int:
+    """|[m]^n|; a negative length or alphabet is a ValueError."""
+    if n < 0 or m < 0:
+        raise ValueError(f"need word length and alphabet >= 0, got n = {n}, m = {m}")
+    return m**n
 
 
 def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
@@ -133,12 +139,12 @@ def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
     interface; the result here is always the full sequential list.
     """
     u = word(u)
-    _check_budget(n, m, budget)
+    require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")
     return _kernels.commuting_words(u, n, m)
 
 
 def count_centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> int:
     """len(centralizer_words(u, n, m)) without materializing the words."""
     u = word(u)
-    _check_budget(n, m, budget)
+    require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")
     return _kernels.count_commuting(u, n, m)

@@ -6,20 +6,19 @@ Two independent routes are provided:
 * ``count_by_shapes`` sums g_m(shape) * f(shape) over partitions of n,
   where g_m counts the insertion tableaux allowed by a family's
   characterization and f is the standard tableau count.  The tableaux with
-  entries above the constrained first rows are counted through labeled
-  cell posets and their order polynomials, which is what makes the count a
-  polynomial in m in the binomial basis.
+  entries above the constrained first rows are counted by the hook-content
+  formula, one product per shape.  The paper's proof counts them through
+  cell posets and order polynomials; ``linear_extensions``,
+  ``descent_poly`` and ``order_poly_count`` keep that route as oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .centralizer import count_centralizer_words
+from .centralizer import count_centralizer_words, require_budget
 from .errors import (
     BoundExceededError,
     UnsupportedFamilyError,
@@ -54,18 +53,27 @@ def iter_partitions(n: int) -> Iterator[tuple]:
     yield from rec(n, n)
 
 
+def _partition_count(n: int) -> int:
+    """p(n), the number of partitions of n >= 0, without listing them."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            p[total] += p[total - part]
+    return p[n]
+
+
+def _hook_product(shape: tuple) -> int:
+    """Product of the hook lengths of a partition shape."""
+    if not is_partition(shape):
+        raise ValueError(f"{shape} is not a partition")
+    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
+    return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
+
+
 def f_lambda(shape: Iterable[int]) -> int:
     """Number of standard tableaux of the given shape (hook lengths)."""
     shape = tuple(shape)
-    if not is_partition(shape):
-        raise ValueError(f"{shape} is not a partition")
-    n = sum(shape)
-    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
-    hooks = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
-    q, r = divmod(math.factorial(n), hooks)
+    q, r = divmod(math.factorial(sum(shape)), _hook_product(shape))
     assert r == 0
     return q
 
@@ -196,20 +204,17 @@ def order_poly_count(poset: LabeledPoset, m: int, bound: int = DEFAULT_EXTENSION
     return sum(binom(m + n - descents(pi), n) for pi in linear_extensions(poset, bound))
 
 
-@lru_cache(maxsize=None)
-def _extension_descents(shape: tuple, bound: int) -> tuple:
-    return tuple(descents(pi) for pi in linear_extensions(shape_poset(shape), bound))
-
-
-def ssyt_count(shape: Iterable[int], max_entry: int, bound: int = DEFAULT_EXTENSION_BOUND) -> int:
-    """Number of semistandard tableaux of the shape with entries <= max_entry."""
+def ssyt_count(shape: Iterable[int], max_entry: int) -> int:
+    """Number of semistandard tableaux of the shape with entries <= max_entry,
+    by the hook-content formula: the product of max_entry + j - i over the
+    cells (i, j), divided by the product of the hook lengths."""
     shape = tuple(shape)
     if not shape:
         return 1
     if max_entry <= 0:
         return 0
-    n = sum(shape)
-    return sum(binom(max_entry - 1 + n - d, n) for d in _extension_descents(shape, bound))
+    hooks = _hook_product(shape)
+    return math.prod(max_entry + j - i for i, row in enumerate(shape) for j in range(row)) // hooks
 
 
 def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
@@ -312,7 +317,7 @@ def count_centralizer(u: Iterable[int], n: int, m: int, budget=None) -> int:
     return count_centralizer_words(u, n, m, budget)
 
 
-def count_by_shapes(family: Family, n: int, m: int, bound: int = DEFAULT_EXTENSION_BOUND) -> int:
+def count_by_shapes(family: Family, n: int, m: int) -> int:
     """c_{n,m}(u) for a supported family, summed over insertion-tableau shapes.
 
     For each partition of n the first ``r`` rows are counted under the
@@ -335,14 +340,14 @@ def count_by_shapes(family: Family, n: int, m: int, bound: int = DEFAULT_EXTENSI
         if family.kind == "single":
             head = 1
         elif family.kind == "staircase":
-            head = ssyt_count(head_shape, min(r, m), bound)
+            head = ssyt_count(head_shape, min(r, m))
         else:  # word12
             l1 = lam[0] if lam else 0
             l2 = lam[1] if len(lam) > 1 else 0
             head = _word12_head(l1, l2, m)
         if head == 0:
             continue
-        tail = ssyt_count(tail_shape, m - r, bound)  # entries in {r+1, ..., m}
+        tail = ssyt_count(tail_shape, m - r)  # entries in {r+1, ..., m}
         if tail == 0:
             continue
         total += head * tail * f_lambda(lam)
@@ -372,41 +377,35 @@ class BinomialPoly:
         return " + ".join(terms) if terms else "0"
 
 
-def _fit_binomial(sample_points: list, values: list) -> BinomialPoly:
-    """Solve sum(a_k C(m, k)) = value exactly over the sample points."""
-    d = len(sample_points) - 1
-    matrix = [[Fraction(binom(mj, k)) for k in range(d + 1)] for mj in sample_points]
-    rhs = [Fraction(v) for v in values]
-    # Gaussian elimination over the rationals
-    for col in range(d + 1):
-        pivot = next(r for r in range(col, d + 1) if matrix[r][col] != 0)
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / matrix[col][col]
-        matrix[col] = [x * inv for x in matrix[col]]
-        rhs[col] *= inv
-        for r in range(d + 1):
-            if r != col and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[col])]
-                rhs[r] -= factor * rhs[col]
-    coeffs = []
-    for x in rhs:
-        if x.denominator != 1:
-            raise ValidationFailedError(f"non-integer coefficient {x} in binomial fit")
-        coeffs.append(int(x))
+def _fit_binomial(m0: int, values: list) -> BinomialPoly:
+    """The polynomial sum(a_k C(m, k)) of degree < len(values) that takes
+    values[i] at m = m0 + i.
+
+    The j-th forward difference at m0 is the sum of a_k C(m0, k - j) over
+    k >= j, so the coefficients come out exactly, from the top degree down.
+    """
+    diffs = []
+    row = list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    coeffs = [0] * len(diffs)
+    for j in reversed(range(len(diffs))):
+        coeffs[j] = diffs[j] - sum(coeffs[k] * binom(m0, k - j) for k in range(j + 1, len(diffs)))
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return BinomialPoly(tuple(coeffs))
 
 
-def expand_binomial(u: Iterable[int], n: int, bound: int = DEFAULT_EXTENSION_BOUND) -> BinomialPoly:
+def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     """The binomial-basis expansion of m -> c_{n,m}(u), degree n - r.
 
     Counts are sampled at the d+1 points m0, ..., m0+d through the shape
     sum, where m0 = max(n, family letter bound): below that the count can
     sit off the polynomial.  One extra sample validates the fit and raises
-    ValidationFailed on mismatch.
+    ValidationFailed on mismatch.  The d+2 shape sums add (d+2) * p(n)
+    shape terms; BudgetExceeded is raised up front when that is over the
+    word budget (None means default_budget()).
     """
     u = word(u)
     family = family_of_word(u)
@@ -414,14 +413,13 @@ def expand_binomial(u: Iterable[int], n: int, bound: int = DEFAULT_EXTENSION_BOU
     if n < r:
         raise ValueError(f"need n >= {r} for u = {u}, got n = {n}")
     d = n - r
+    require_budget((d + 2) * _partition_count(n), budget, f"shape terms in expanding c_{{{n},m}}")
     m0 = max(n, max(u))
-    points = list(range(m0, m0 + d + 1))
-    values = [count_by_shapes(family, n, m, bound) for m in points]
-    poly = _fit_binomial(points, values)
+    values = [count_by_shapes(family, n, m) for m in range(m0, m0 + d + 2)]
+    poly = _fit_binomial(m0, values[:-1])
     check_m = m0 + d + 1
-    expected = count_by_shapes(family, n, check_m, bound)
-    if poly(check_m) != expected:
+    if poly(check_m) != values[-1]:
         raise ValidationFailedError(
-            f"fit predicts {poly(check_m)} at m={check_m}, count gives {expected}"
+            f"fit predicts {poly(check_m)} at m={check_m}, count gives {values[-1]}"
         )
     return poly

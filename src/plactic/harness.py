@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .centralizer import centralizer_words, default_budget, in_centralizer
+from .centralizer import centralizer_words, default_budget, in_centralizer, require_budget
 from .enumeration import expand_binomial
-from .errors import BudgetExceededError
 from .involutions import rc_m, tau_m
 from .rsk import p_tableau
 from .tableau import Word, format_word, word
@@ -148,13 +147,6 @@ def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
     return checked, counterexamples, True
 
 
-def _require_budget(total: int, budget: int):
-    if total > budget:
-        raise BudgetExceededError(
-            f"sweep needs {total} word checks, budget allows {budget}"
-        )
-
-
 def _verdict(counterexamples, complete: bool) -> str:
     if counterexamples:
         return VERDICT_COUNTEREXAMPLE
@@ -168,7 +160,7 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
     us = _u_range(cfg)
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
     total = len(us) * n_w
-    _require_budget(total, cfg.resolved_budget())
+    require_budget(total, cfg.budget, "(u, w) pairs in the sweep")
     bounds = [(max(u), len(p_tableau(u).rows)) for u in us]
 
     def test(i, w):
@@ -207,7 +199,7 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
     u = word(u)
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
     total = cfg.k_bound * n_w
-    _require_budget(total, cfg.resolved_budget())
+    require_budget(total, cfg.budget, "(u, w) pairs in the sweep")
 
     sets: dict = {k: set() for k in range(1, cfg.k_bound + 1)}
 
@@ -267,14 +259,13 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
     t0 = time.monotonic()
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    resolved = budget if budget is not None else default_budget()
     total = n_max - 1
-    _require_budget(total, resolved)
+    resolved = require_budget(total, budget, "expansions")
 
     table: dict = {}
     cx = []
     for n in range(2, n_max + 1):
-        poly = expand_binomial((1,), n)
+        poly = expand_binomial((1,), n, budget=resolved)
         table[str(n)] = list(poly.coefficients)
         bad = _coefficient_failures(n, poly.coefficients)
         if bad:
@@ -308,7 +299,7 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     u_rc = rc_m(u, m)
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
     total = 2 * n_w
-    _require_budget(total, cfg.resolved_budget())
+    require_budget(total, cfg.budget, "(u, w) pairs in the sweep")
 
     # side 0 maps C(u) towards C(u_rc), side 1 maps back
     sides = [u, u_rc]
@@ -362,7 +353,7 @@ def check_rc_sweep(cfg: SweepConfig) -> SweepReport:
     t0 = time.monotonic()
     pairs = rc_pairs(cfg)
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
-    _require_budget(2 * n_w * len(pairs), cfg.resolved_budget())
+    require_budget(2 * n_w * len(pairs), cfg.budget, "(u, w) pairs in the sweep")
     checked = 0
     cx: list = []
     complete = True

@@ -214,6 +214,14 @@ def test_budget_checked_before_enumeration():
     assert count_centralizer_words((1,), 2, 2, budget=4) == 2
 
 
+def test_negative_length_or_alphabet_is_a_value_error():
+    for n, m in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            centralizer_words((1,), n, m)
+        with pytest.raises(ValueError):
+            count_centralizer_words((1,), n, m)
+
+
 def test_default_budget_env_override(monkeypatch):
     monkeypatch.delenv("PLACTIC_BUDGET", raising=False)
     assert default_budget() == DEFAULT_BUDGET

@@ -89,6 +89,21 @@ def test_expand_unsupported_word(capsys):
     assert "error:" in err
 
 
+def test_expand_over_budget_exits_2(capsys):
+    code, out, err = run(capsys, "expand", "1", "--len", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "shape terms" in err
+
+
+def test_negative_length_exits_2(capsys):
+    code, out, err = run(capsys, "count", "1", "--len", "-1", "--max", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

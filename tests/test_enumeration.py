@@ -5,6 +5,7 @@ import pytest
 from plactic import (
     BinomialPoly,
     BoundExceededError,
+    BudgetExceededError,
     LabeledPoset,
     UnsupportedFamilyError,
     ValidationFailedError,
@@ -25,6 +26,7 @@ from plactic import (
 from plactic.enumeration import (
     DescentPoly,
     _fit_binomial,
+    _partition_count,
     binom,
     descents,
     iter_partitions,
@@ -177,9 +179,13 @@ def test_ssyt_count_matches_generation_and_oracle():
 
 
 def test_ssyt_count_is_order_poly_shifted():
-    for lam in [(3,), (2, 2), (3, 1), (2, 1, 1)]:
-        for q in range(1, 5):
-            assert ssyt_count(lam, q) == order_poly_count(shape_poset(lam), q - 1)
+    """The hook-content product agrees with the linear-extension route of
+    the paper's proof on every shape of at most 8 cells, entries <= 6."""
+    for n in range(0, 9):
+        for lam in iter_partitions(n):
+            p = shape_poset(lam)
+            for q in range(0, 7):
+                assert ssyt_count(lam, q) == order_poly_count(p, q - 1), (lam, q)
 
 
 def test_iter_ssyt_yields_valid_tableaux():
@@ -284,16 +290,13 @@ def test_binomial_poly_str():
     assert BinomialPoly((0, 1, 4, 1))(3) == 3 + 4 * 3 + 1
 
 
-def test_fit_binomial_rejects_non_integer_fit():
-    with pytest.raises(ValidationFailedError):
-        _fit_binomial([0, 2], [0, 1])
-
-
 def test_fit_binomial_recovers_exact_coefficients():
-    poly = BinomialPoly((0, 1, 4, 1))
-    points = [4, 5, 6, 7]
-    fitted = _fit_binomial(points, [poly(m) for m in points])
-    assert fitted == poly
+    for coeffs in [(0, 1, 4, 1), (3, -2, 0, 7, 0, 1), (5,), ()]:
+        poly = BinomialPoly(coeffs)
+        # m0 = 0 and m0 = 4 sit below the degree of the second polynomial
+        for m0 in (0, 4, 11):
+            values = [poly(m) for m in range(m0, m0 + len(coeffs) + 2)]
+            assert _fit_binomial(m0, values) == poly, (coeffs, m0)
 
 
 def test_expand_examples():
@@ -325,12 +328,46 @@ def test_expand_rejects_small_n():
 def test_expand_validation_sample(monkeypatch):
     import plactic.enumeration as enumeration
 
-    def not_a_polynomial(family, n, m, bound=10):
+    def not_a_polynomial(family, n, m):
         return 2**m
 
     monkeypatch.setattr(enumeration, "count_by_shapes", not_a_polynomial)
     with pytest.raises(ValidationFailedError):
         enumeration.expand_binomial((1,), 3)
+
+
+def test_expand_past_the_old_extension_bound():
+    poly = expand_binomial((1,), 12)
+    assert poly.coefficients == (
+        0, 1, 922, 40989, 489320, 2430620, 6017841, 7909139, 5384580, 1570644, 58785, 1
+    )
+    for m in (1, 2):
+        assert poly(m) == count_centralizer((1,), 12, m)
+
+
+def test_expand_budget_checked_before_any_shape_sum(monkeypatch):
+    import plactic.enumeration as enumeration
+
+    def no_shape_sums(family, n, m):
+        raise AssertionError("count_by_shapes ran before the budget check")
+
+    monkeypatch.setattr(enumeration, "count_by_shapes", no_shape_sums)
+    with pytest.raises(BudgetExceededError, match="shape terms"):
+        enumeration.expand_binomial((1,), 100)
+    # (d + 2) * p(n) = 6 * 7 shape terms for u = 1, n = 5
+    with pytest.raises(BudgetExceededError):
+        enumeration.expand_binomial((1,), 5, budget=41)
+    monkeypatch.setenv("PLACTIC_BUDGET", "41")
+    with pytest.raises(BudgetExceededError):
+        enumeration.expand_binomial((1,), 5)
+    monkeypatch.undo()
+    assert expand_binomial((1,), 5, budget=42).coefficients == (0, 1, 8, 13, 1)
+
+
+def test_partition_count_matches_listing():
+    for n in range(0, 16):
+        assert _partition_count(n) == len(list(iter_partitions(n)))
+    assert _partition_count(100) == 190569292
 
 
 def test_hook_product_helper_agrees():

@@ -15,9 +15,9 @@ from plactic import (
     in_centralizer,
     rc_m,
 )
+from plactic.centralizer import require_budget
 from plactic.harness import (
     _coefficient_failures,
-    _require_budget,
     _u_range,
     _verdict,
     count_words_up_to,
@@ -172,10 +172,14 @@ def test_verdict_priority():
     assert _verdict([{"u": []}], False) == "counterexample"
 
 
-def test_require_budget():
-    _require_budget(10, 10)
-    with pytest.raises(BudgetExceededError):
-        _require_budget(11, 10)
+def test_require_budget(monkeypatch):
+    assert require_budget(10, 10, "pairs") == 10
+    with pytest.raises(BudgetExceededError, match="pairs: 11, over the budget 10"):
+        require_budget(11, 10, "pairs")
+    monkeypatch.setenv("PLACTIC_BUDGET", "7")
+    assert require_budget(7, None, "pairs") == 7
+    with pytest.raises(BudgetExceededError, match="pairs in the sweep: 30, over the budget 7"):
+        check_max_ri(SweepConfig("maxri", u_alphabet=2, u_length=1, w_alphabet=2, w_length=3))
 
 
 def test_max_ri_small_sweep():
@@ -303,6 +307,25 @@ def test_coefficients_validation():
         check_coefficients(1)
     with pytest.raises(BudgetExceededError):
         check_coefficients(8, budget=3)
+    # 7 expansions fit in 100, but n = 7 sums (6 + 2) * p(7) = 120 shape terms
+    with pytest.raises(BudgetExceededError, match="shape terms"):
+        check_coefficients(8, budget=100)
+
+
+def test_coefficients_counterexamples_past_n_10():
+    report = check_coefficients(14)
+    assert report.verdict == "counterexample"
+    assert [cx["detail"].split(",")[0] for cx in report.counterexamples] == [
+        "n=10", "n=12", "n=13", "n=14"
+    ]
+    for cx in report.counterexamples:
+        assert "(d)" in cx["detail"]
+        assert "(a)" not in cx["detail"] and "(b)" not in cx["detail"]
+        assert "(c)" not in cx["detail"]
+    table = report.observed["coefficients"]
+    for n in (12, 13, 14):
+        a = table[str(n)]
+        assert a.index(max(a)) == -(-n // 2) + 1
 
 
 def test_coefficient_failure_messages():
