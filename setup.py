@@ -1,16 +1,9 @@
-from setuptools import setup
+from setuptools import Extension, setup
 
-# The compiled kernel is optional: when Cython (or a C toolchain) is missing
-# the package installs anyway and plactic._kernels falls back to pure Python.
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [Extension("plactic._kernels._speedups", ["src/plactic/_kernels/_speedups.pyx"])],
-        language_level="3",
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernel is optional: without a C compiler the package installs
+# anyway and plactic._kernels falls back to pure Python.
+setup(
+    ext_modules=[
+        Extension("plactic._kernels._speedups", ["src/plactic/_kernels/_speedups.c"], optional=True)
+    ]
+)

@@ -1,8 +1,13 @@
 """Kernel backend selection.
 
-The compiled backend is used when available; PLACTIC_PURE=1 forces the
-pure-Python fallback.  Letters outside C int range overflow the compiled
-kernels, so every entry point retries such calls in pure Python.
+The four kernel entry points are ``insertion_rows``, ``commutes``,
+``count_commuting`` and ``commuting_words``; ``_pure`` implements them in
+Python and the C extension ``_speedups`` (built from ``_speedups.c`` by
+``python setup.py build_ext --inplace``) mirrors it.  The C module is used
+when it is importable; PLACTIC_PURE=1 forces pure Python.  ``BACKEND`` is
+``"c"`` or ``"pure"``.  The C module holds letters as C long long, so a call
+with a letter beyond that range raises OverflowError there and is retried
+in pure Python.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ def _retry_in_pure(name):
 
 
 insertion_rows = _retry_in_pure("insertion_rows")
-insert_rows = _retry_in_pure("insert_rows")
 commutes = _retry_in_pure("commutes")
 count_commuting = _retry_in_pure("count_commuting")
 commuting_words = _retry_in_pure("commuting_words")

@@ -1,9 +1,11 @@
 """Pure-Python insertion kernels.
 
-Reference implementation of the hot operations: Schensted row insertion,
-the commutation test P(uw) == P(wu), and lexicographic enumeration of
-commuting words.  plactic._kernels._speedups mirrors this module in C;
-both must produce identical results on identical inputs.
+Reference implementation of the four kernel entry points: Schensted row
+insertion (``insertion_rows``), the commutation test P(uw) == P(wu)
+(``commutes``), and the lexicographic scan of commuting words over a block
+of word indices (``count_commuting``, ``commuting_words``).  The C module
+plactic._kernels._speedups mirrors this module; both must produce identical
+results on identical inputs.  Letters are unbounded Python ints here.
 
 Tableaux are passed around as tuples of row tuples (top row first).
 """
@@ -45,7 +47,8 @@ def insertion_rows(word):
 
 
 def insert_rows(rows, letters):
-    """Insert ``letters`` in order into an existing tableau."""
+    """Insert ``letters`` in order into an existing tableau (a step of
+    ``commutes``, not a kernel entry point)."""
     rows = tuple(tuple(r) for r in rows)
     for a in letters:
         rows = _insert(rows, a)
@@ -73,6 +76,8 @@ def _scan(u, n, m, start, stop, collect):
     [start, stop); an odometer keeps per-prefix tableaux for both
     P(w[:i]) and P(u . w[:i]) so each step re-inserts only the suffix.
     """
+    if n < 0 or start < 0:
+        raise ValueError("word length and start must be >= 0")
     total = m**n if n else 1
     if stop is None:
         stop = total

@@ -2,7 +2,8 @@
 
 Two independent routes are provided:
 
-* ``count_centralizer`` enumerates words through the kernel (the oracle);
+* ``centralizer.count_centralizer_words`` enumerates words through the
+  kernel (the oracle);
 * ``count_by_shapes`` sums g_m(shape) * f(shape) over partitions of n,
   where g_m counts the insertion tableaux allowed by a family's
   characterization and f is the standard tableau count.  The tableaux with
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .centralizer import count_centralizer_words, require_budget
+from .centralizer import require_budget
 from .errors import (
     BoundExceededError,
     UnsupportedFamilyError,
@@ -310,11 +311,6 @@ def _word12_head(l1: int, l2: int, max_entry: int) -> int:
         if all(1 in col and 2 in col for col in cols if len(col) == 2):
             count += 1
     return count
-
-
-def count_centralizer(u: Iterable[int], n: int, m: int, budget=None) -> int:
-    """c_{n,m}(u): brute-force count of C(u) words of length n over [m]."""
-    return count_centralizer_words(u, n, m, budget)
 
 
 def count_by_shapes(family: Family, n: int, m: int) -> int:

@@ -20,7 +20,7 @@ from plactic import (
     check_rc_sweep,
     check_stability,
     count_by_shapes,
-    count_centralizer,
+    count_centralizer_words as count_centralizer,
     dominates,
     evacuation_m,
     in_centralizer,

@@ -10,7 +10,7 @@ from plactic import (
     UnsupportedFamilyError,
     ValidationFailedError,
     count_by_shapes,
-    count_centralizer,
+    count_centralizer_words as count_centralizer,
     descent_poly,
     expand_binomial,
     f_lambda,

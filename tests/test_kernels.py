@@ -1,17 +1,29 @@
-import itertools
+import random
+import tracemalloc
 
 import pytest
 
 from plactic._kernels import _pure
 
-try:
-    from plactic._kernels import _speedups
-except ImportError:
-    _speedups = None
+from helpers import centralizer_oracle, commutes_oracle, p_oracle, words_over
 
-from helpers import commutes_oracle, p_oracle, words_over
+ENTRY_POINTS = ("insertion_rows", "commutes", "count_commuting", "commuting_words")
+BIG = 2**40  # beyond C int, inside C long long
+HUGE = 10**19  # beyond C long long
+SCAN_WORDS = ((), (1,), (2, 1), (1, 2), (2, 1, 2), (BIG, 1), (BIG, BIG))
 
-needs_speedups = pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
+
+def _long_words():
+    """Seeded words of 1000+ letters: random over small and 2^40-sized
+    alphabets, strictly decreasing, and weakly increasing."""
+    rng = random.Random(20241027)
+    return [
+        tuple(rng.randint(1, 5) for _ in range(1200)),
+        tuple(rng.randint(1, 60) for _ in range(1500)),
+        tuple(BIG + rng.randint(-3, 3) for _ in range(1000)),
+        tuple(range(1100, 0, -1)),
+        tuple(sorted(rng.randint(1, 9) for _ in range(1000))),
+    ]
 
 
 def test_pure_insertion_matches_oracle():
@@ -72,94 +84,156 @@ def test_shard_windows_slice_the_word_stream():
     assert got == all_words
 
 
-@needs_speedups
-def test_backends_agree_on_insertion():
+def test_backends_expose_the_four_entry_points(speedups):
+    from plactic import _kernels
+
+    for module in (_kernels, _pure, speedups):
+        for name in ENTRY_POINTS:
+            assert callable(getattr(module, name)), (module, name)
+    assert not hasattr(_kernels, "insert_rows")
+    assert not hasattr(speedups, "insert_rows")
+    assert speedups.BACKEND == "c"
+
+
+def test_backends_agree_on_insertion(speedups):
     for w in words_over(4, 5):
-        assert _speedups.insertion_rows(w) == _pure.insertion_rows(w)
+        assert speedups.insertion_rows(w) == _pure.insertion_rows(w)
+    for w in [(BIG, 1, BIG + 1, 3, BIG), (-BIG, 0, BIG, -1)] + _long_words():
+        assert speedups.insertion_rows(w) == _pure.insertion_rows(w) == p_oracle(w)
 
 
-@needs_speedups
-def test_backends_agree_on_commutes():
+def test_backends_agree_on_commutes(speedups):
     for u in words_over(3, 3):
         for w in words_over(3, 3):
-            assert _speedups.commutes(u, w) == _pure.commutes(u, w)
+            assert speedups.commutes(u, w) == _pure.commutes(u, w)
+    long = _long_words()
+    for u in long[:3] + [(BIG, 1, BIG), (1,), ()]:
+        for w in long[:1] + [(BIG,), (1, 2), ()]:
+            assert speedups.commutes(u, w) == _pure.commutes(u, w)
+        assert speedups.commutes(u, u)
 
 
-@needs_speedups
-def test_backends_agree_on_counting():
-    for u in ((1,), (2, 1), (1, 2), (2, 1, 2)):
+def test_backends_agree_on_counting(speedups):
+    for u in SCAN_WORDS:
         for n in range(0, 6):
-            for m in (1, 2, 3):
-                assert _speedups.count_commuting(u, n, m) == _pure.count_commuting(u, n, m)
+            for m in (0, 1, 2, 3):
+                assert speedups.count_commuting(u, n, m) == _pure.count_commuting(u, n, m)
+    for u in _long_words()[:2]:
+        assert speedups.count_commuting(u, 2, 3) == _pure.count_commuting(u, 2, 3)
 
 
-@needs_speedups
-def test_backends_agree_on_word_lists():
-    assert _speedups.commuting_words((1,), 4, 2) == _pure.commuting_words((1,), 4, 2)
+def test_backends_agree_on_word_lists(speedups):
+    for u in SCAN_WORDS:
+        for n in range(0, 5):
+            for m in (0, 1, 2, 3):
+                assert speedups.commuting_words(u, n, m) == _pure.commuting_words(u, n, m)
+    u = _long_words()[1]
+    assert speedups.commuting_words(u, 2, 3) == _pure.commuting_words(u, 2, 3)
 
 
-@needs_speedups
-def test_compiled_shard_sums():
+def test_backends_agree_on_windows(speedups):
+    """Every [start, stop) window, including empty ones, stop=None and
+    windows past the end, for n <= 3 and -1 <= m <= 3."""
+    for u in ((), (1,), (2, 1, 2), (BIG, 1)):
+        for n in range(0, 4):
+            for m in range(-1, 4):
+                total = m**n
+                for start in range(total + 2):
+                    for stop in [None, *range(total + 2)]:
+                        window = (u, n, m, start, stop)
+                        assert speedups.commuting_words(*window) == _pure.commuting_words(*window)
+                        assert speedups.count_commuting(*window) == _pure.count_commuting(*window)
+    # A window deep inside [2]^70, whose size overflows C long long.
+    window = ((1,), 70, 2, 2**62, 2**62 + 40)
+    assert speedups.commuting_words(*window) == _pure.commuting_words(*window)
+    assert speedups.count_commuting(*window) == _pure.count_commuting(*window) > 0
+
+
+def test_compiled_shard_sums(speedups):
     u, n, m = (2, 1, 2), 6, 3
-    total = _speedups.count_commuting(u, n, m)
+    total = speedups.count_commuting(u, n, m)
     cuts = [0, 100, 500, m**n]
     assert total == sum(
-        _speedups.count_commuting(u, n, m, start=a, stop=b) for a, b in zip(cuts, cuts[1:])
+        speedups.count_commuting(u, n, m, start=a, stop=b) for a, b in zip(cuts, cuts[1:])
     )
 
 
-def test_huge_letters_fall_back_to_pure():
-    """Letters beyond C long range must still insert correctly through the
-    public wrappers."""
-    from plactic import _kernels
+def test_backends_reject_negative_length_or_start(speedups):
+    for backend in (_pure, speedups):
+        for scan in (backend.count_commuting, backend.commuting_words):
+            with pytest.raises(ValueError):
+                scan((1,), -1, 2)
+            with pytest.raises(ValueError):
+                scan((1,), 2, 2, start=-1)
 
-    big = 10**19
-    w = (big, 1, big + 1)
+
+def test_compiled_memory_is_near_linear(speedups):
+    """Row r of an N-cell tableau is sized N/(r+1), not N, so a 3000-letter
+    strictly decreasing word (one column of 3000 rows) stays far under the
+    stride^2 cells a square tableau buffer would take."""
+    w = tuple(range(3000, 0, -1))
+    for call in (lambda: speedups.insertion_rows(w), lambda: speedups.commutes(w, (1,))):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def test_huge_letters_fall_back_to_pure(compiled_kernels):
+    """Letters beyond C long long range must still give correct results
+    through the public wrappers over the C backend."""
+    _kernels = compiled_kernels
+    assert _kernels.BACKEND == "c"
+    w = (HUGE, 1, HUGE + 1)
     assert _kernels.insertion_rows(w) == p_oracle(w)
-    assert _kernels.commutes((big,), (big,))
-    assert not _kernels.commutes((big, 1, big), (1,))
-    rows = _kernels.insert_rows(((1, big),), (big - 1,))
-    assert rows == p_oracle((1, big, big - 1))
+    assert _kernels.commutes((HUGE,), (HUGE,))
+    assert not _kernels.commutes((HUGE, 1, HUGE), (1,))
+    assert _kernels.count_commuting((HUGE,), 3, 2) == len(centralizer_oracle((HUGE,), 3, 2))
+    assert _kernels.commuting_words((HUGE, 1), 2, 2) == centralizer_oracle((HUGE, 1), 2, 2)
 
 
-def test_compiled_overflow_falls_back_to_pure(monkeypatch):
-    """Every public kernel entry point retries in pure Python when the
-    compiled backend overflows, as it does for letters beyond C int."""
-    import importlib
-    import sys
-    import types
+def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkeypatch):
+    """The C module raises OverflowError for letters beyond C long long and
+    keeps 2^40 in C; every public entry point retries the overflow in pure
+    Python."""
+    from plactic import count_centralizer_words
 
-    from plactic import _kernels, count_centralizer
+    _kernels = compiled_kernels
+    pure = {name: getattr(_pure, name) for name in ENTRY_POINTS}
+    calls = []
 
-    def overflow(*args, **kwargs):
-        raise OverflowError("Python int too large to convert to C long")
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return pure[name](*args, **kwargs)
 
-    names = ("insertion_rows", "insert_rows", "commutes", "count_commuting", "commuting_words")
-    fake = types.ModuleType("plactic._kernels._speedups")
-    fake.BACKEND = "cython"
-    for name in names:
-        setattr(fake, name, overflow)
-    monkeypatch.delenv("PLACTIC_PURE", raising=False)
-    monkeypatch.setitem(sys.modules, "plactic._kernels._speedups", fake)
-    monkeypatch.setattr(_kernels, "_speedups", fake, raising=False)
-    try:
-        importlib.reload(_kernels)
-        assert _kernels.BACKEND == "cython"
-        big = 2**40
-        w = (big, 1, big + 1)
-        assert _kernels.insertion_rows(w) == _pure.insertion_rows(w)
-        assert _kernels.insert_rows(((1, big),), (2,)) == _pure.insert_rows(((1, big),), (2,))
-        assert _kernels.commutes((big, big), (big,))
-        assert not _kernels.commutes((big,), w)
-        assert _kernels.count_commuting((big, 1), 3, 2) == _pure.count_commuting((big, 1), 3, 2) == 1
-        assert _kernels.commuting_words((big, 1), 2, 2) == [(1, 1)]
-        assert count_centralizer((big,), 2, 2) == _pure.count_commuting((big,), 2, 2)
-    finally:
-        monkeypatch.undo()
-        importlib.reload(_kernels)
+        return call
+
+    for name in ENTRY_POINTS:
+        monkeypatch.setattr(_pure, name, counted(name))
+    args = {
+        "insertion_rows": lambda a: ((a, 1, a + 1),),
+        "commutes": lambda a: ((a, a), (a,)),
+        "count_commuting": lambda a: ((a, 1), 3, 2),
+        "commuting_words": lambda a: ((a, 1), 2, 2),
+    }
+    for name in ENTRY_POINTS:
+        assert getattr(_kernels, name)(*args[name](BIG)) == getattr(speedups, name)(*args[name](BIG))
+    assert calls == []
+    for name in ENTRY_POINTS:
+        with pytest.raises(OverflowError):
+            getattr(speedups, name)(*args[name](HUGE))
+        calls.clear()
+        assert getattr(_kernels, name)(*args[name](HUGE)) == pure[name](*args[name](HUGE))
+        assert calls[0] == name
+    assert _kernels.commuting_words((HUGE, 1), 2, 2) == [(1, 1)]
+    assert count_centralizer_words((HUGE,), 2, 2) == _pure.count_commuting((HUGE,), 2, 2)
 
 
 def test_backend_name_exported():
     from plactic import BACKEND
 
-    assert BACKEND in ("pure", "cython")
+    assert BACKEND in ("pure", "c")
