@@ -1,13 +1,15 @@
 """Kernel backend selection.
 
 The four kernel entry points are ``insertion_rows``, ``commutes``,
-``count_commuting`` and ``commuting_words``; ``_pure`` implements them in
-Python and the C extension ``_speedups`` (built from ``_speedups.c`` by
-``python setup.py build_ext --inplace``) mirrors it.  The C module is used
-when it is importable; PLACTIC_PURE=1 forces pure Python.  ``BACKEND`` is
-``"c"`` or ``"pure"``.  The C module holds letters as C long long, so a call
-with a letter beyond that range raises OverflowError there and is retried
-in pure Python.
+``count_commuting`` and ``commuting_words``.  ``_pure`` implements them in
+Python, and its scan tests membership once per insertion tableau.  The C
+extension ``_speedups`` (built from ``_speedups.c`` by
+``python setup.py build_ext --inplace``) gives the same results by a
+different algorithm: its scan is an odometer that tests every word.  The C
+module is used when it is importable; PLACTIC_PURE=1, and no other value,
+forces pure Python.  ``BACKEND`` is ``"c"`` or ``"pure"``.  The C module
+holds letters as C long long, so a call with a letter beyond that range
+raises OverflowError there and is retried in pure Python.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 
 from . import _pure
 
-if os.environ.get("PLACTIC_PURE"):
+if os.environ.get("PLACTIC_PURE") == "1":
     _impl = _pure
 else:
     try:

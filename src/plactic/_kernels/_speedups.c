@@ -1,4 +1,7 @@
-/* Compiled insertion kernels; a mirror of plactic._kernels._pure in C99.
+/* Compiled insertion kernels in C99, with the entry points and results of
+ * plactic._kernels._pure but not its algorithm: the scan here is an
+ * odometer that inserts every word, where the pure scan tests membership
+ * once per insertion tableau.  Each backend is an oracle for the other.
  *
  * Letters are C long long.  A letter outside that range raises
  * OverflowError, and plactic._kernels retries such a call in pure Python.

@@ -25,6 +25,10 @@ class BadShapeError(TableauError):
     pass
 
 
+class WordParseError(PlacticError, ValueError):
+    """Text that is not a word: an empty, non-integer or non-positive letter."""
+
+
 class ShapeMismatchError(PlacticError, ValueError):
     pass
 

@@ -17,6 +17,7 @@ from .errors import (
     BadShapeError,
     ColumnNotStrictlyIncreasingError,
     RowNotWeaklyIncreasingError,
+    WordParseError,
 )
 
 Word = tuple  # tuple[int, ...]
@@ -32,17 +33,29 @@ def word(letters: Iterable[int]) -> Word:
 
 
 def parse_word(text: str) -> Word:
-    """Parse '2,1,2' (canonical) or the bare digit shorthand '212'."""
+    """Parse '2,1,2' (canonical) or the bare digit shorthand '212'.
+
+    Raises WordParseError, a ValueError, naming the letter it cannot read.
+    """
     text = text.strip()
     if not text:
         return ()
     if "," in text:
-        return word(int(part) for part in text.split(","))
+        letters = []
+        for i, part in enumerate(text.split(","), 1):
+            try:
+                a = int(part)
+            except ValueError:
+                a = None
+            if a is None or a < 1:
+                raise WordParseError(f"letter {i} of {text!r} is {part!r}, not a positive integer")
+            letters.append(a)
+        return tuple(letters)
     if text.isdigit():
         if "0" in text:
-            raise ValueError(f"bare digit form cannot contain 0: {text!r}")
+            raise WordParseError(f"bare digit form cannot contain 0: {text!r}")
         return tuple(int(ch) for ch in text)
-    raise ValueError(f"cannot parse word {text!r}")
+    raise WordParseError(f"cannot parse word {text!r}")
 
 
 def format_word(w: Iterable[int]) -> str:

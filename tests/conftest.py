@@ -35,17 +35,30 @@ def speedups(tmp_path_factory):
 
 
 @pytest.fixture
-def compiled_kernels(speedups, monkeypatch):
-    """plactic._kernels reloaded with the built C module as its backend;
-    the previous backend is restored afterwards."""
+def reload_kernels(speedups, monkeypatch):
+    """reload(pure_env): plactic._kernels reloaded with the built C module
+    importable and PLACTIC_PURE set to ``pure_env`` (unset for None); the
+    previous backend is restored afterwards."""
     from plactic import _kernels
 
-    monkeypatch.delenv("PLACTIC_PURE", raising=False)
     monkeypatch.setitem(sys.modules, "plactic._kernels._speedups", speedups)
     monkeypatch.setattr(_kernels, "_speedups", speedups, raising=False)
-    importlib.reload(_kernels)
+
+    def reload(pure_env):
+        if pure_env is None:
+            monkeypatch.delenv("PLACTIC_PURE", raising=False)
+        else:
+            monkeypatch.setenv("PLACTIC_PURE", pure_env)
+        return importlib.reload(_kernels)
+
     try:
-        yield _kernels
+        yield reload
     finally:
         monkeypatch.undo()
         importlib.reload(_kernels)
+
+
+@pytest.fixture
+def compiled_kernels(reload_kernels):
+    """plactic._kernels reloaded with the built C module as its backend."""
+    return reload_kernels(None)

@@ -104,6 +104,12 @@ def test_negative_length_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_unreadable_letter_exits_2(capsys):
+    code, out, err = run(capsys, "count", ",", "--len", "2", "--max", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: letter 1 of ',' is '', not a positive integer\n"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

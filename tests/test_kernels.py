@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -84,6 +85,43 @@ def test_shard_windows_slice_the_word_stream():
     assert got == all_words
 
 
+def test_pure_scan_windows_match_oracle():
+    """Every [start, stop) window, including empty ones, stop=None and
+    windows past the end, for n <= 4 and -1 <= m <= 3, in both modes,
+    against the definition applied to the window's slice of [m]^n."""
+    for u in SCAN_WORDS:
+        for n in range(0, 5):
+            for m in range(-1, 4):
+                space = list(itertools.product(range(1, m + 1), repeat=n))
+                member = [commutes_oracle(u, w) for w in space]
+                for start in range(len(space) + 2):
+                    for stop in [None, *range(len(space) + 2)]:
+                        want = [w for w, ok in zip(space[start:stop], member[start:stop]) if ok]
+                        assert _pure.commuting_words(u, n, m, start, stop) == want, (u, n, m, start, stop)
+                        assert _pure.count_commuting(u, n, m, start, stop) == len(want), (u, n, m, start, stop)
+
+
+def test_membership_depends_on_the_insertion_tableau_alone():
+    """The pure scan tests one word per insertion tableau; words with equal
+    P(w) must therefore agree on membership."""
+    for u in ((1,), (2,), (2, 1), (1, 2), (2, 1, 2), (3, 1, 2), (1, 3, 2, 1)):
+        verdict = {}
+        for w in words_over(3, 5):
+            assert verdict.setdefault(p_oracle(w), commutes_oracle(u, w)) == commutes_oracle(u, w), (u, w)
+
+
+def test_pure_count_memory_is_linear():
+    """The count keeps one level of tableaux at a time, so m = 1, where the
+    word budget passes any n, stays small at n = 1000."""
+    tracemalloc.start()
+    try:
+        assert _pure.count_commuting((1,), 1000, 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_backends_expose_the_four_entry_points(speedups):
     from plactic import _kernels
 
@@ -143,6 +181,18 @@ def test_backends_agree_on_windows(speedups):
                         window = (u, n, m, start, stop)
                         assert speedups.commuting_words(*window) == _pure.commuting_words(*window)
                         assert speedups.count_commuting(*window) == _pure.count_commuting(*window)
+    # Seeded random windows of longer words; the two backends scan by
+    # different algorithms, the C odometer word by word.
+    rng = random.Random(20241028)
+    for _ in range(300):
+        u = rng.choice(SCAN_WORDS)
+        n, m = rng.randint(1, 6), rng.randint(1, 4)
+        total = m**n
+        start = rng.randint(0, total)
+        stop = rng.choice([None, rng.randint(start, total + 1)])
+        window = (u, n, m, start, stop)
+        assert speedups.commuting_words(*window) == _pure.commuting_words(*window), window
+        assert speedups.count_commuting(*window) == _pure.count_commuting(*window), window
     # A window deep inside [2]^70, whose size overflows C long long.
     window = ((1,), 70, 2, 2**62, 2**62 + 40)
     assert speedups.commuting_words(*window) == _pure.commuting_words(*window)
@@ -231,6 +281,13 @@ def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkey
         assert calls[0] == name
     assert _kernels.commuting_words((HUGE, 1), 2, 2) == [(1, 1)]
     assert count_centralizer_words((HUGE,), 2, 2) == _pure.count_commuting((HUGE,), 2, 2)
+
+
+def test_only_plactic_pure_1_forces_pure(reload_kernels):
+    assert reload_kernels("0").BACKEND == "c"
+    assert reload_kernels("").BACKEND == "c"
+    assert reload_kernels("1").BACKEND == "pure"
+    assert reload_kernels(None).BACKEND == "c"
 
 
 def test_backend_name_exported():

@@ -8,6 +8,7 @@ from plactic import (
     RowNotWeaklyIncreasingError,
     SkewTableau,
     Tableau,
+    WordParseError,
     dominates,
     format_tableau,
     format_word,
@@ -100,6 +101,17 @@ def test_parse_word_forms():
         parse_word("102")  # bare digits cannot contain 0
     with pytest.raises(ValueError):
         parse_word("1,x")
+
+
+def test_parse_word_names_the_bad_letter():
+    for text, part in ((",", "''"), ("1,,2", "''"), ("1,x", "'x'"), ("2,1,0", "'0'"), ("3,-1", "'-1'")):
+        with pytest.raises(WordParseError, match=part) as info:
+            parse_word(text)
+        assert isinstance(info.value, ValueError)
+    with pytest.raises(WordParseError, match="'102'"):
+        parse_word("102")
+    with pytest.raises(WordParseError, match="'ab'"):
+        parse_word("ab")
 
 
 def test_format_word_roundtrip():
