@@ -19,7 +19,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 #include <string.h>
 
 /* The row offsets of tableaux of at most N cells in at most R <= N rows. */
@@ -188,33 +187,23 @@ static PyObject *commutes(PyObject *self, PyObject *args)
     return result;
 }
 
-/* Count (or collect) the words w in [m]^n, index range [start, stop), with
- * P(uw) == P(wu), in lexicographic order.  An odometer keeps the tableaux
- * P(w[:i]) and P(u . w[:i]) of every prefix, so each step re-inserts only
- * the changed suffix. */
+/* Count (or collect) the words w in [m]^n with P(uw) == P(wu), in
+ * lexicographic order.  An odometer keeps the tableaux P(w[:i]) and
+ * P(u . w[:i]) of every prefix, so each step re-inserts only the changed
+ * suffix. */
 static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
 {
-    static char *kwlist[] = {"u", "n", "m", "start", "stop", NULL};
+    static char *kwlist[] = {"u", "n", "m", NULL};
     PyObject *uobj;
     Py_ssize_t n;
     Py_ssize_t m;
-    long long start = 0;
-    PyObject *stopobj = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Onn|LO", kwlist, &uobj, &n, &m, &start, &stopobj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Onn", kwlist, &uobj, &n, &m))
         return NULL;
-    if (n < 0 || start < 0) {
-        PyErr_SetString(PyExc_ValueError, "word length and start must be >= 0");
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "word length must be >= 0");
         return NULL;
     }
-    /* |[m]^n|, saturated at LLONG_MAX, which no scan gets to. */
-    long long total = 1;
-    for (Py_ssize_t i = 0; i < n; i++)
-        total = m < 1 ? 0 : total > LLONG_MAX / m ? LLONG_MAX : total * m;
-    long long stop = stopobj == Py_None ? total : PyLong_AsLongLong(stopobj);
-    if (stop == -1 && PyErr_Occurred())
-        return NULL;
-    stop = stop < total ? stop : total;
-    if (start >= stop)
+    if (n > 0 && m < 1)
         return collect ? PyList_New(0) : PyLong_FromLong(0);
 
     Py_ssize_t ulen = 0;
@@ -237,20 +226,9 @@ static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
     long long *digits = tabs + (2 * n + 3) * size;
     for (Py_ssize_t i = 0; i < ulen; i++)
         tab_insert(pb, off, u[i]);
-    long long rem = start;
-    for (Py_ssize_t i = n - 1; i >= 0; i--) {
-        digits[i] = rem % m;
-        rem /= m;
-    }
     long long count = 0;
-    Py_ssize_t changed = 0;
-    for (long long idx = start; idx < stop; idx++) {
-        if (idx > start) {
-            changed = n - 1;
-            while (digits[changed] == m - 1)
-                digits[changed--] = 0;
-            digits[changed]++;
-        }
+    /* The digits start at all 0s, the word at all 1s. */
+    for (Py_ssize_t changed = 0; changed >= 0;) {
         for (Py_ssize_t i = changed; i < n; i++) {
             tab_copy(pa + (i + 1) * size, pa + i * size, off);
             tab_insert(pa + (i + 1) * size, off, digits[i] + 1);
@@ -260,15 +238,21 @@ static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
         tab_copy(leaf, pa + n * size, off);
         for (Py_ssize_t i = 0; i < ulen; i++)
             tab_insert(leaf, off, u[i]);
-        if (!tab_equal(leaf, pb + n * size, off))
-            continue;
-        count++;
-        PyObject *w = collect ? int_tuple(digits, n, 1) : NULL;
-        if (collect && (w == NULL || PyList_Append(found, w) < 0)) {
+        if (tab_equal(leaf, pb + n * size, off)) {
+            count++;
+            PyObject *w = collect ? int_tuple(digits, n, 1) : NULL;
+            if (collect && (w == NULL || PyList_Append(found, w) < 0)) {
+                Py_XDECREF(w);
+                goto done;
+            }
             Py_XDECREF(w);
-            goto done;
         }
-        Py_XDECREF(w);
+        /* Advance the odometer; the carry past digit 0 ends the scan. */
+        changed = n - 1;
+        while (changed >= 0 && digits[changed] == m - 1)
+            digits[changed--] = 0;
+        if (changed >= 0)
+            digits[changed]++;
     }
     result = collect ? Py_NewRef(found) : PyLong_FromLongLong(count);
 done:
@@ -293,7 +277,7 @@ static PyMethodDef methods[] = {
     {"insertion_rows", insertion_rows, METH_O, "Insertion tableau of ``word`` as a tuple of row tuples."},
     {"commutes", commutes, METH_VARARGS, "True iff P(u.w) == P(w.u)."},
     {"count_commuting", (PyCFunction)(void (*)(void))count_commuting, METH_VARARGS | METH_KEYWORDS,
-     "Number of words w in [m]^n, index range [start, stop), with P(uw) == P(wu)."},
+     "Number of words w in [m]^n with P(uw) == P(wu)."},
     {"commuting_words", (PyCFunction)(void (*)(void))commuting_words, METH_VARARGS | METH_KEYWORDS,
      "The words themselves, in lexicographic order."},
     {NULL, NULL, 0, NULL},

@@ -23,9 +23,13 @@ def default_budget() -> int:
     """Word-enumeration budget; PLACTIC_BUDGET overrides the default 10^8."""
     raw = os.environ.get("PLACTIC_BUDGET")
     if raw:
-        budget = int(raw)
+        problem = ValueError(f"PLACTIC_BUDGET must be a positive integer, got {raw!r}")
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise problem from None
         if budget <= 0:
-            raise ValueError(f"PLACTIC_BUDGET must be positive, got {raw!r}")
+            raise problem
         return budget
     return DEFAULT_BUDGET
 
@@ -108,13 +112,6 @@ def test_staircase(m: int, w: Iterable[int]) -> bool:
     return all(row[-1] <= m for row in t.rows[:m])
 
 
-def test_power(a: int, k: int, w: Iterable[int]) -> bool:
-    """Membership in C(a^k), which equals C(a) for every k >= 1."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return test_single_letter_cols(a, w)
-
-
 def require_budget(total: int, budget, what: str) -> int:
     """Raise BudgetExceeded when ``total`` (the count of ``what``) is over
     the budget; None means default_budget().  Returns the budget used."""
@@ -134,9 +131,7 @@ def _word_total(n: int, m: int) -> int:
 def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
     """All w in [m]^n with P(uw) == P(wu), in lexicographic order.
 
-    Raises BudgetExceeded when m^n is over the word budget.  Disjoint
-    lexicographic blocks can be enumerated independently with the kernel
-    interface; the result here is always the full sequential list.
+    Raises BudgetExceeded when m^n is over the word budget.
     """
     u = word(u)
     require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")

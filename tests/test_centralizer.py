@@ -16,11 +16,11 @@ from plactic import (
 from plactic import test_c1_lwi as c1_lwi
 from plactic import test_c12 as c12
 from plactic import test_c212 as c212
-from plactic import test_power as power
 from plactic import test_single_letter_cols as single_letter_cols
 from plactic import test_single_letter_rows as single_letter_rows
 from plactic import test_staircase as staircase
 from plactic.centralizer import DEFAULT_BUDGET, default_budget
+from plactic.cli import cli_dispatch
 
 from helpers import commutes_oracle, words_over
 
@@ -89,9 +89,10 @@ def test_staircase_examples():
 
 
 def test_power_examples():
-    assert power(2, 3, (2, 1, 2))
-    assert not power(1, 2, (2,))
-    assert power(3, 2, ())
+    """C(a^k) = C(a): the column test for a decides membership in C(a^k)."""
+    for a, w, member in ((2, (2, 1, 2), True), (1, (2,), False), (3, (), True)):
+        for k in (1, 2, 3):
+            assert in_centralizer((a,) * k, w) == single_letter_cols(a, w) == member
 
 
 def test_characterizations_match_oracle():
@@ -111,7 +112,7 @@ def test_characterizations_match_oracle():
             assert staircase(m, w) == in_centralizer(stair, w)
         for a in (1, 2, 3):
             for k in (1, 2, 3):
-                assert power(a, k, w) == in_centralizer((a,) * k, w)
+                assert single_letter_cols(a, w) == in_centralizer((a,) * k, w)
 
 
 def test_rows_equals_cols_always():
@@ -230,3 +231,13 @@ def test_default_budget_env_override(monkeypatch):
     monkeypatch.setenv("PLACTIC_BUDGET", "50")
     with pytest.raises(BudgetExceededError):
         count_centralizer_words((1,), 4, 3)
+
+
+def test_malformed_budget_env_names_the_variable(monkeypatch, capsys):
+    for raw in ("abc", "1e3", "0", "-5"):
+        monkeypatch.setenv("PLACTIC_BUDGET", raw)
+        message = f"PLACTIC_BUDGET must be a positive integer, got '{raw}'"
+        with pytest.raises(ValueError, match=message):
+            default_budget()
+        assert cli_dispatch(["count", "1", "--len", "2", "--max", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -62,43 +62,15 @@ def test_edge_ranges():
     assert _pure.commuting_words((1,), 3, 0) == []
 
 
-def test_shard_sums():
-    u = (1, 2)
-    n, m = 5, 3
-    total = _pure.count_commuting(u, n, m)
-    space = m**n
-    for parts in (2, 3, 7):
-        cuts = [space * i // parts for i in range(parts + 1)]
-        sharded = sum(
-            _pure.count_commuting(u, n, m, start=a, stop=b) for a, b in zip(cuts, cuts[1:])
-        )
-        assert sharded == total
-
-
-def test_shard_windows_slice_the_word_stream():
-    u = (1,)
-    n, m = 4, 2
-    all_words = _pure.commuting_words(u, n, m)
-    got = []
-    for start in range(m**n):
-        got.extend(_pure.commuting_words(u, n, m, start=start, stop=start + 1))
-    assert got == all_words
-
-
 def test_pure_scan_windows_match_oracle():
-    """Every [start, stop) window, including empty ones, stop=None and
-    windows past the end, for n <= 4 and -1 <= m <= 3, in both modes,
-    against the definition applied to the window's slice of [m]^n."""
+    """The pure scan over all of [m]^n, for n <= 4 and -1 <= m <= 3, in both
+    modes, against the definition applied to every word."""
     for u in SCAN_WORDS:
         for n in range(0, 5):
             for m in range(-1, 4):
-                space = list(itertools.product(range(1, m + 1), repeat=n))
-                member = [commutes_oracle(u, w) for w in space]
-                for start in range(len(space) + 2):
-                    for stop in [None, *range(len(space) + 2)]:
-                        want = [w for w, ok in zip(space[start:stop], member[start:stop]) if ok]
-                        assert _pure.commuting_words(u, n, m, start, stop) == want, (u, n, m, start, stop)
-                        assert _pure.count_commuting(u, n, m, start, stop) == len(want), (u, n, m, start, stop)
+                want = [w for w in itertools.product(range(1, m + 1), repeat=n) if commutes_oracle(u, w)]
+                assert _pure.commuting_words(u, n, m) == want, (u, n, m)
+                assert _pure.count_commuting(u, n, m) == len(want), (u, n, m)
 
 
 def test_membership_depends_on_the_insertion_tableau_alone():
@@ -153,8 +125,8 @@ def test_backends_agree_on_commutes(speedups):
 
 def test_backends_agree_on_counting(speedups):
     for u in SCAN_WORDS:
-        for n in range(0, 6):
-            for m in (0, 1, 2, 3):
+        for n in range(0, 7):
+            for m in range(-1, 5):
                 assert speedups.count_commuting(u, n, m) == _pure.count_commuting(u, n, m)
     for u in _long_words()[:2]:
         assert speedups.count_commuting(u, 2, 3) == _pure.count_commuting(u, 2, 3)
@@ -162,59 +134,33 @@ def test_backends_agree_on_counting(speedups):
 
 def test_backends_agree_on_word_lists(speedups):
     for u in SCAN_WORDS:
-        for n in range(0, 5):
-            for m in (0, 1, 2, 3):
+        for n in range(0, 7):
+            for m in range(-1, 5):
                 assert speedups.commuting_words(u, n, m) == _pure.commuting_words(u, n, m)
     u = _long_words()[1]
     assert speedups.commuting_words(u, 2, 3) == _pure.commuting_words(u, 2, 3)
 
 
-def test_backends_agree_on_windows(speedups):
-    """Every [start, stop) window, including empty ones, stop=None and
-    windows past the end, for n <= 3 and -1 <= m <= 3."""
-    for u in ((), (1,), (2, 1, 2), (BIG, 1)):
-        for n in range(0, 4):
-            for m in range(-1, 4):
-                total = m**n
-                for start in range(total + 2):
-                    for stop in [None, *range(total + 2)]:
-                        window = (u, n, m, start, stop)
-                        assert speedups.commuting_words(*window) == _pure.commuting_words(*window)
-                        assert speedups.count_commuting(*window) == _pure.count_commuting(*window)
-    # Seeded random windows of longer words; the two backends scan by
-    # different algorithms, the C odometer word by word.
-    rng = random.Random(20241028)
-    for _ in range(300):
-        u = rng.choice(SCAN_WORDS)
-        n, m = rng.randint(1, 6), rng.randint(1, 4)
-        total = m**n
-        start = rng.randint(0, total)
-        stop = rng.choice([None, rng.randint(start, total + 1)])
-        window = (u, n, m, start, stop)
-        assert speedups.commuting_words(*window) == _pure.commuting_words(*window), window
-        assert speedups.count_commuting(*window) == _pure.count_commuting(*window), window
-    # A window deep inside [2]^70, whose size overflows C long long.
-    window = ((1,), 70, 2, 2**62, 2**62 + 40)
-    assert speedups.commuting_words(*window) == _pure.commuting_words(*window)
-    assert speedups.count_commuting(*window) == _pure.count_commuting(*window) > 0
-
-
-def test_compiled_shard_sums(speedups):
-    u, n, m = (2, 1, 2), 6, 3
-    total = speedups.count_commuting(u, n, m)
-    cuts = [0, 100, 500, m**n]
-    assert total == sum(
-        speedups.count_commuting(u, n, m, start=a, stop=b) for a, b in zip(cuts, cuts[1:])
-    )
-
-
-def test_backends_reject_negative_length_or_start(speedups):
+def test_backends_reject_negative_length(speedups):
     for backend in (_pure, speedups):
         for scan in (backend.count_commuting, backend.commuting_words):
             with pytest.raises(ValueError):
                 scan((1,), -1, 2)
-            with pytest.raises(ValueError):
-                scan((1,), 2, 2, start=-1)
+
+
+def test_scans_take_u_n_m_only(speedups):
+    """The scans cover all of [m]^n: both backends take u, n and m, also by
+    keyword, and nothing else."""
+    from plactic import _kernels
+
+    for backend in (_kernels, _pure, speedups):
+        assert backend.count_commuting(u=(1,), n=3, m=2) == 3
+        assert backend.commuting_words(u=(1,), n=2, m=2) == [(1, 1), (2, 1)]
+        for scan in (backend.count_commuting, backend.commuting_words):
+            with pytest.raises(TypeError):
+                scan((1,), 2, 2, start=0)
+            with pytest.raises(TypeError):
+                scan((1,), 2, 2, 0, None)
 
 
 def test_compiled_memory_is_near_linear(speedups):
