@@ -2,22 +2,26 @@
 
 Reference implementation of the four kernel entry points: Schensted row
 insertion (``insertion_rows``), the commutation test P(uw) == P(wu)
-(``commutes``), and the scan of the words of [m]^n that commute with u
-(``count_commuting``, ``commuting_words``).  Letters are
-unbounded Python ints here.
+(``commutes``), and the members of C(u) in [m]^n, listed by insertion
+tableau (``commuting_tableaux``) and word by word (``commuting_words``).
+Letters are unbounded Python ints here.
 
-The scan tests membership once per insertion tableau, not once per word:
-Knuth equivalence is a congruence, so whether w commutes with u depends on
-P(w) alone.  The C module plactic._kernels._speedups gives the same results
-by a different algorithm, an odometer that tests every word, so each
-backend is an oracle for the other.
+Both listings test membership once per insertion tableau, not once per
+word: Knuth equivalence is a congruence, so whether w commutes with u
+depends on P(w) alone.  ``commuting_tableaux`` fills each tableau by
+backtracking, the algorithm of the C module plactic._kernels._speedups as
+well, so the brute-force definition is its independent check.
+``commuting_words`` runs an odometer over w[:n-1] and memoizes the
+commuting last letters per P(w[:n-1]); the C odometer tests every word, so
+there each backend is an oracle for the other.  Counting is written once,
+in plactic._kernels, over ``commuting_tableaux``.
 
 Tableaux are passed around as tuples of row tuples (top row first).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 BACKEND = "pure"
 
@@ -88,36 +92,122 @@ def _commuting_letters(prefix, u, pu, m):
     return tuple(found)
 
 
-def count_commuting(u, n, m):
-    """Number of words w in [m]^n with P(uw) == P(wu).
+def _shapes(n, rows):
+    """The partitions of n with at most ``rows`` parts, in the order of
+    enumeration.iter_partitions (reverse lexicographic)."""
+    if n == 0:
+        yield ()
+        return
+    if rows < 1:
+        return
+    lam = [n]
+    while True:
+        yield tuple(lam)
+        # Lower the rightmost part that can drop by one while the parts
+        # after it, no larger, still hold the rest within the row cap;
+        # fill them greedily.
+        rest = 0
+        for i in range(len(lam) - 1, -1, -1):
+            rest += lam[i]
+            part = lam[i] - 1
+            if part and rest - part <= part * (rows - i - 1):
+                full, tail = divmod(rest - part, part)
+                lam[i:] = [part] * (full + 1) + ([tail] if tail else [])
+                break
+        else:
+            return
 
-    A forward pass carries {P(w[:i]): multiplicity} from i = 0 to n - 1 and
-    ends in the sum of mult(T) times the number of commuting last letters
-    of T.
+
+def _push(rows, a):
+    """Insert a into a tableau of row lists in place; return the index of
+    the row that grew."""
+    for r, row in enumerate(rows):
+        pos = bisect_right(row, a)
+        if pos == len(row):
+            row.append(a)
+            return r
+        row[pos], a = a, row[pos]
+    rows.append([a])
+    return len(rows) - 1
+
+
+def _pop(rows, r):
+    """Undo the _push that grew row r: reverse-bump its last entry up to
+    the first row and drop the letter that leaves it."""
+    a = rows[r].pop()
+    if not rows[r]:
+        rows.pop()
+    for r in range(r - 1, -1, -1):
+        row = rows[r]
+        pos = bisect_left(row, a) - 1  # the rightmost entry < a
+        row[pos], a = a, row[pos]
+
+
+def commuting_tableaux(u, n, m):
+    """The tableaux T with n cells and entries in [1, m] for which the words
+    with P(w) = T commute with u, as tuples of row tuples.
+
+    A word w is in C(u) iff T <- u == P(u) <- rowword(T) for T = P(w).
+    Shapes come in the order of enumeration.iter_partitions and, within a
+    shape, the row words in lexicographic order.  Each shape is filled by
+    backtracking in row-word order, bottom row first and left to right,
+    while one tableau P(u) <- (the row word so far) is kept up to date:
+    insert on the way down, reverse-bump on the way back.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
     if n == 0:
-        return 1  # the empty word commutes with everything
+        return [()]
     if m < 1:
-        return 0
+        return []
     u = tuple(u)
-    pu = insertion_rows(u)
-    level = {(): 1}
-    for _ in range(n - 1):
-        nxt = {}
-        # Equal rows bumped along different paths are separate tuples;
-        # keeping one copy of each makes a level of tableaux smaller.
-        shared = {}
-        for rows, mult in level.items():
-            for a in range(1, m + 1):
-                grown = _insert(rows, a)
-                if grown in nxt:
-                    nxt[grown] += mult
+    state = [list(row) for row in insertion_rows(u)]
+    found = []
+    for shape in _shapes(n, m):
+        # Fill t in row-word order: bottom row first, left to right; row is
+        # t[i] and under is the row below it.  grew holds, per filled cell,
+        # the row of state its insertion grew.
+        t = [[0] * length for length in shape]
+        i, j = len(t) - 1, 0
+        row, under = t[i], []
+        v = i + 1
+        grew = []
+        while True:
+            hi = under[j] - 1 if j < len(under) else m
+            if i == 0 and j == len(row) - 1:
+                # The top row's last cell: test every value it can take.
+                for v in range(v, hi + 1):
+                    row[j] = v
+                    end = _push(state, v)
+                    tu = [r[:] for r in t]
+                    for a in u:
+                        _push(tu, a)
+                    if tu == state:
+                        found.append(tuple([tuple(r) for r in t]))
+                    _pop(state, end)
+                v = hi + 1
+            if v <= hi:
+                row[j] = v
+                grew.append(_push(state, v))
+                j += 1
+                if j < len(row):
+                    v = row[j - 1]
                 else:
-                    nxt[tuple([shared.setdefault(row, row) for row in grown])] = mult
-        level = nxt
-    return sum(mult * len(_commuting_letters(rows, u, pu, m)) for rows, mult in level.items())
+                    i, j = i - 1, 0
+                    row, under = t[i], row
+                    v = i + 1
+            elif not grew:
+                break
+            else:
+                if j:
+                    j -= 1
+                else:
+                    i += 1
+                    row, under = t[i], t[i + 1] if i + 1 < len(t) else []
+                    j = len(row) - 1
+                _pop(state, grew.pop())
+                v = row[j] + 1
+    return found
 
 
 def commuting_words(u, n, m):

@@ -1,7 +1,10 @@
 /* Compiled insertion kernels in C99, with the entry points and results of
- * plactic._kernels._pure but not its algorithm: the scan here is an
- * odometer that inserts every word, where the pure scan tests membership
- * once per insertion tableau.  Each backend is an oracle for the other.
+ * plactic._kernels._pure.  commuting_tableaux is the same backtracking
+ * fill as in pure, checked against the brute-force definition by the
+ * tests; commuting_words is an odometer that inserts every word, where the
+ * pure one tests each insertion tableau once, so there each backend is an
+ * oracle for the other.  Counting is done in plactic._kernels over
+ * commuting_tableaux.
  *
  * Letters are C long long.  A letter outside that range raises
  * OverflowError, and plactic._kernels retries such a call in pure Python.
@@ -42,8 +45,9 @@ static long long *new_tableaux(const Py_ssize_t *off, Py_ssize_t R, Py_ssize_t n
     return tabs;
 }
 
-/* Bump the leftmost entry strictly greater than a, row by row. */
-static void tab_insert(long long *t, const Py_ssize_t *off, long long a)
+/* Bump the leftmost entry strictly greater than a, row by row; return the
+ * row that grew. */
+static long long tab_insert(long long *t, const Py_ssize_t *off, long long a)
 {
     for (long long r = 0;; r++) {
         long long *row = t + off[r];
@@ -51,7 +55,7 @@ static void tab_insert(long long *t, const Py_ssize_t *off, long long a)
             row[0] = a;
             t[1 + r] = 1;
             t[0]++;
-            return;
+            return r;
         }
         long long lo = 0;
         long long hi = t[1 + r];
@@ -65,10 +69,36 @@ static void tab_insert(long long *t, const Py_ssize_t *off, long long a)
         if (lo == t[1 + r]) {
             row[lo] = a;
             t[1 + r]++;
-            return;
+            return r;
         }
         long long bumped = row[lo];
         row[lo] = a;
+        a = bumped;
+    }
+}
+
+/* Undo the tab_insert that grew row r: reverse-bump the last entry of row
+ * r up through the rows above it, replacing the rightmost entry smaller
+ * than the incoming one in each. */
+static void tab_uninsert(long long *t, const Py_ssize_t *off, long long r)
+{
+    t[1 + r]--;
+    long long a = t[off[r] + t[1 + r]];
+    if (t[1 + r] == 0)
+        t[0]--;
+    while (r-- > 0) {
+        long long *row = t + off[r];
+        long long lo = 0;
+        long long hi = t[1 + r];
+        while (lo < hi) {
+            long long mid = (lo + hi) / 2;
+            if (row[mid] < a)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        long long bumped = row[lo - 1];
+        row[lo - 1] = a;
         a = bumped;
     }
 }
@@ -187,24 +217,23 @@ static PyObject *commutes(PyObject *self, PyObject *args)
     return result;
 }
 
-/* Count (or collect) the words w in [m]^n with P(uw) == P(wu), in
- * lexicographic order.  An odometer keeps the tableaux P(w[:i]) and
- * P(u . w[:i]) of every prefix, so each step re-inserts only the changed
- * suffix. */
-static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
+/* The words w in [m]^n with P(uw) == P(wu), in lexicographic order.  An
+ * odometer keeps the tableaux P(w[:i]) and P(u . w[:i]) of every prefix,
+ * so each step re-inserts only the changed suffix. */
+static PyObject *commuting_words(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"u", "n", "m", NULL};
     PyObject *uobj;
     Py_ssize_t n;
     Py_ssize_t m;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Onn", kwlist, &uobj, &n, &m))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Onn:commuting_words", kwlist, &uobj, &n, &m))
         return NULL;
     if (n < 0) {
         PyErr_SetString(PyExc_ValueError, "word length must be >= 0");
         return NULL;
     }
     if (n > 0 && m < 1)
-        return collect ? PyList_New(0) : PyLong_FromLong(0);
+        return PyList_New(0);
 
     Py_ssize_t ulen = 0;
     long long *u = read_word(uobj, &ulen);
@@ -215,9 +244,9 @@ static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
     /* tabs[i] = P(w[:i]), tabs[n + 1 + i] = P(u . w[:i]), then the leaf
      * tableau, then the n odometer digits (off[R] > N slots). */
     long long *tabs = off == NULL ? NULL : new_tableaux(off, R, 2 * n + 4);
-    PyObject *found = tabs != NULL && collect ? PyList_New(0) : NULL;
+    PyObject *found = tabs == NULL ? NULL : PyList_New(0);
     PyObject *result = NULL;
-    if (tabs == NULL || (collect && found == NULL))
+    if (found == NULL)
         goto done;
     Py_ssize_t size = off[R];
     long long *pa = tabs;
@@ -226,7 +255,6 @@ static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
     long long *digits = tabs + (2 * n + 3) * size;
     for (Py_ssize_t i = 0; i < ulen; i++)
         tab_insert(pb, off, u[i]);
-    long long count = 0;
     /* The digits start at all 0s, the word at all 1s. */
     for (Py_ssize_t changed = 0; changed >= 0;) {
         for (Py_ssize_t i = changed; i < n; i++) {
@@ -239,13 +267,12 @@ static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
         for (Py_ssize_t i = 0; i < ulen; i++)
             tab_insert(leaf, off, u[i]);
         if (tab_equal(leaf, pb + n * size, off)) {
-            count++;
-            PyObject *w = collect ? int_tuple(digits, n, 1) : NULL;
-            if (collect && (w == NULL || PyList_Append(found, w) < 0)) {
+            PyObject *w = int_tuple(digits, n, 1);
+            if (w == NULL || PyList_Append(found, w) < 0) {
                 Py_XDECREF(w);
                 goto done;
             }
-            Py_XDECREF(w);
+            Py_DECREF(w);
         }
         /* Advance the odometer; the carry past digit 0 ends the scan. */
         changed = n - 1;
@@ -254,7 +281,7 @@ static PyObject *scan(PyObject *args, PyObject *kwds, int collect)
         if (changed >= 0)
             digits[changed]++;
     }
-    result = collect ? Py_NewRef(found) : PyLong_FromLongLong(count);
+    result = Py_NewRef(found);
 done:
     Py_XDECREF(found);
     PyMem_Free(tabs);
@@ -263,21 +290,133 @@ done:
     return result;
 }
 
-static PyObject *count_commuting(PyObject *self, PyObject *args, PyObject *kwds)
+/* The next partition after the shape of t in reverse lexicographic order
+ * with at most R parts, written into t[0] (the rows) and t[1 + i] (the
+ * row lengths); 0 when the shape was the last.  The rightmost part that
+ * can drop by one while the parts after it, no larger, still hold the rest
+ * drops, and the parts after it are filled greedily. */
+static int next_shape(long long *t, long long R)
 {
-    return scan(args, kwds, 0);
+    long long rest = 0;
+    for (long long i = t[0] - 1; i >= 0; i--) {
+        rest += t[1 + i];
+        long long part = t[1 + i] - 1;
+        if (part > 0 && rest - part <= part * (R - i - 1)) {
+            for (t[0] = i; rest > 0; t[0]++) {
+                t[1 + t[0]] = part;
+                rest -= part;
+                part = rest < part ? rest : part;
+            }
+            return 1;
+        }
+    }
+    return 0;
 }
 
-static PyObject *commuting_words(PyObject *self, PyObject *args, PyObject *kwds)
+/* The tableaux T with n cells and entries in [1, m] for which
+ * T <- u == P(u) <- rowword(T), as in plactic._kernels._pure and in its
+ * order: shapes in reverse lexicographic order, then row words in
+ * lexicographic order.  Each shape is filled by backtracking in row-word
+ * order, bottom row first and left to right, while one tableau
+ * P(u) <- (the row word so far) is kept: insert on the way down,
+ * reverse-bump on the way back. */
+static PyObject *commuting_tableaux(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    return scan(args, kwds, 1);
+    static char *kwlist[] = {"u", "n", "m", NULL};
+    PyObject *uobj;
+    Py_ssize_t n;
+    Py_ssize_t m;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Onn:commuting_tableaux", kwlist, &uobj, &n, &m))
+        return NULL;
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "word length must be >= 0");
+        return NULL;
+    }
+    if (n == 0)
+        return Py_BuildValue("[()]");
+    if (m < 1)
+        return PyList_New(0);
+
+    Py_ssize_t ulen = 0;
+    long long *u = read_word(uobj, &ulen);
+    Py_ssize_t N = n + ulen;
+    Py_ssize_t R = m < n ? m + ulen : N;
+    Py_ssize_t *off = u == NULL ? NULL : row_offsets(N, R);
+    /* state = P(u) <- the row word so far, t = the filling, tu = t <- u,
+     * then per filled cell (a stack) the row of state its insertion grew
+     * (off[R] > n slots). */
+    long long *state = off == NULL ? NULL : new_tableaux(off, R, 4);
+    PyObject *found = state == NULL ? NULL : PyList_New(0);
+    PyObject *result = NULL;
+    if (found == NULL)
+        goto done;
+    long long *t = state + off[R];
+    long long *tu = state + 2 * off[R];
+    long long *grew = state + 3 * off[R];
+    for (Py_ssize_t i = 0; i < ulen; i++)
+        tab_insert(state, off, u[i]);
+    t[0] = 1;
+    t[1] = n;
+    do {
+        long long bottom = t[0] - 1;
+        long long i = bottom;
+        long long j = 0;
+        long long k = 0;
+        long long v = bottom + 1;
+        for (;;) {
+            long long hi = i < bottom && j < t[2 + i] ? t[off[i + 1] + j] - 1 : m;
+            if (v <= hi) {
+                t[off[i] + j] = v;
+                grew[k++] = tab_insert(state, off, v);
+                if (k < n) {
+                    /* Step to the next cell of the row word. */
+                    if (++j == t[1 + i]) {
+                        i--;
+                        j = 0;
+                    }
+                    v = j == 0 ? i + 1 : t[off[i] + j - 1];
+                    continue;
+                }
+                tab_copy(tu, t, off);
+                for (Py_ssize_t a = 0; a < ulen; a++)
+                    tab_insert(tu, off, u[a]);
+                if (tab_equal(tu, state, off)) {
+                    PyObject *rows = tab_rows(t, off);
+                    if (rows == NULL || PyList_Append(found, rows) < 0) {
+                        Py_XDECREF(rows);
+                        goto done;
+                    }
+                    Py_DECREF(rows);
+                }
+                tab_uninsert(state, off, grew[--k]);
+                v++;
+                continue;
+            }
+            if (k == 0)
+                break;
+            /* Step back to the previous cell and its next value. */
+            if (j-- == 0) {
+                i++;
+                j = t[1 + i] - 1;
+            }
+            tab_uninsert(state, off, grew[--k]);
+            v = t[off[i] + j] + 1;
+        }
+    } while (next_shape(t, m < n ? m : n));
+    result = Py_NewRef(found);
+done:
+    Py_XDECREF(found);
+    PyMem_Free(state);
+    PyMem_Free(off);
+    PyMem_Free(u);
+    return result;
 }
 
 static PyMethodDef methods[] = {
     {"insertion_rows", insertion_rows, METH_O, "Insertion tableau of ``word`` as a tuple of row tuples."},
     {"commutes", commutes, METH_VARARGS, "True iff P(u.w) == P(w.u)."},
-    {"count_commuting", (PyCFunction)(void (*)(void))count_commuting, METH_VARARGS | METH_KEYWORDS,
-     "Number of words w in [m]^n with P(uw) == P(wu)."},
+    {"commuting_tableaux", (PyCFunction)(void (*)(void))commuting_tableaux, METH_VARARGS | METH_KEYWORDS,
+     "The tableaux T with n cells and entries <= m with T <- u == P(u) <- rowword(T)."},
     {"commuting_words", (PyCFunction)(void (*)(void))commuting_words, METH_VARARGS | METH_KEYWORDS,
      "The words themselves, in lexicographic order."},
     {NULL, NULL, 0, NULL},

@@ -14,7 +14,7 @@ from typing import Iterable
 from . import _kernels
 from .errors import BudgetExceededError
 from .rsk import lwi, lwi_ending_at, p_tableau
-from .tableau import Word, row_count_filter, word
+from .tableau import Tableau, Word, row_count_filter, word
 
 DEFAULT_BUDGET = 10**8
 
@@ -136,6 +136,18 @@ def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
     u = word(u)
     require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")
     return _kernels.commuting_words(u, n, m)
+
+
+def centralizer_tableaux(u: Iterable[int], n: int, m: int, budget=None) -> list:
+    """The insertion tableaux P(w) of the w in [m]^n with P(uw) == P(wu):
+    shapes as iter_partitions lists them, then row words in lexicographic
+    order.  Each T stands for the f^shape(T) words of its Knuth class.
+
+    Raises BudgetExceeded when m^n is over the word budget.
+    """
+    u = word(u)
+    require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")
+    return [Tableau._unchecked(rows) for rows in _kernels.commuting_tableaux(u, n, m)]
 
 
 def count_centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> int:

@@ -2,8 +2,8 @@
 
 Two independent routes are provided:
 
-* ``centralizer.count_centralizer_words`` enumerates words through the
-  kernel (the oracle);
+* ``centralizer.count_centralizer_words`` tests every member tableau
+  through the kernel's fill, with no family rule (the oracle);
 * ``count_by_shapes`` sums g_m(shape) * f(shape) over partitions of n,
   where g_m counts the insertion tableaux allowed by a family's
   characterization and f is the standard tableau count.  The tableaux with
@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedFamilyError,
     ValidationFailedError,
 )
-from .tableau import Tableau, Word, is_partition, word
+from .tableau import Tableau, Word, hook_product, is_partition, word
 
 DEFAULT_EXTENSION_BOUND = 10
 
@@ -63,18 +63,10 @@ def _partition_count(n: int) -> int:
     return p[n]
 
 
-def _hook_product(shape: tuple) -> int:
-    """Product of the hook lengths of a partition shape."""
-    if not is_partition(shape):
-        raise ValueError(f"{shape} is not a partition")
-    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
-    return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
-
-
 def f_lambda(shape: Iterable[int]) -> int:
     """Number of standard tableaux of the given shape (hook lengths)."""
     shape = tuple(shape)
-    q, r = divmod(math.factorial(sum(shape)), _hook_product(shape))
+    q, r = divmod(math.factorial(sum(shape)), hook_product(shape))
     assert r == 0
     return q
 
@@ -214,7 +206,7 @@ def ssyt_count(shape: Iterable[int], max_entry: int) -> int:
         return 1
     if max_entry <= 0:
         return 0
-    hooks = _hook_product(shape)
+    hooks = hook_product(shape)
     return math.prod(max_entry + j - i for i, row in enumerate(shape) for j in range(row)) // hooks
 
 

@@ -1,10 +1,13 @@
 """Sweep engine for the four conjectures.
 
-The maxri, stability and rc checks list the members of C(u) in the w
-range with the kernel scan, one scan per (u, length) block, and test only
-those members.  Each check returns a SweepReport.  Reports serialize to a
-canonical JSON form that is byte-stable across reruns; wall-clock time is
-kept on the report object and pinned to 0 in the JSON.
+The maxri, stability and rc checks list the insertion tableaux of the
+members of C(u) in the w range with the kernel's tableau fill, one fill
+per (u, length) block, and test each tableau once: membership and the
+conjectures' tests read P(w) alone.  Only a tableau that fails is expanded
+into the words of its Knuth class.  Each check returns a SweepReport.
+Reports serialize to a canonical JSON form that is byte-stable across
+reruns; wall-clock time is kept on the report object and pinned to 0 in
+the JSON.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .centralizer import centralizer_words, default_budget, in_centralizer, require_budget
-from .enumeration import expand_binomial
+from .centralizer import centralizer_tableaux, default_budget, in_centralizer, require_budget
+from .enumeration import expand_binomial, f_lambda
 from .involutions import rc_m, tau_m
-from .rsk import p_tableau
+from .rsk import knuth_class, p_tableau
 from .tableau import Word, format_word, word
 
 VERDICT_HOLDS = "holds"
@@ -122,14 +125,16 @@ def _u_range(cfg: SweepConfig) -> list:
 
 
 def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
-    """Call test(i, w) on every w in C(us[i]) within the w range.
+    """Call test(i, t) once on every insertion tableau t of the members of
+    C(us[i]) within the w range.
 
-    Members come from one kernel scan per (u, length) block, in the order
-    of words_up_to; test returns a counterexample payload or None.
-    Returns (checked, counterexamples, complete), where checked counts the
-    words of every finished block.  This is the one place an interrupt is
-    caught: it ends the sweep inside the block it hits, which is not
-    counted.
+    The tableaux come from one kernel fill per (u, length) block.  test
+    returns None when t passes, else the detail of a counterexample; every
+    word of a failing tableau's Knuth class then gives a payload, and a
+    block's payloads are put in word order.  Returns (checked,
+    counterexamples, complete), where checked counts the words of every
+    finished block.  This is the one place an interrupt is caught: it ends
+    the sweep inside the block it hits, which is not counted.
     """
     budget = cfg.resolved_budget()
     checked = 0
@@ -137,10 +142,14 @@ def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
     try:
         for i, u in enumerate(us):
             for n in range(cfg.w_length + 1):
-                for w in centralizer_words(u, n, cfg.w_alphabet, budget=budget):
-                    payload = test(i, w)
-                    if payload is not None:
-                        counterexamples.append(payload)
+                block = len(counterexamples)
+                for t in centralizer_tableaux(u, n, cfg.w_alphabet, budget=budget):
+                    detail = test(i, t)
+                    if detail is not None:
+                        counterexamples.extend(
+                            {"u": list(u), "w": list(w), "detail": detail} for w in knuth_class(t)
+                        )
+                counterexamples[block:] = sorted(counterexamples[block:], key=lambda c: c["w"])
                 checked += cfg.w_alphabet**n
     except KeyboardInterrupt:
         return checked, counterexamples, False
@@ -163,17 +172,12 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
     require_budget(total, cfg.budget, "(u, w) pairs in the sweep")
     bounds = [(max(u), len(p_tableau(u).rows)) for u in us]
 
-    def test(i, w):
+    def test(i, t):
         m, ell = bounds[i]
-        rows = p_tableau(w).rows
+        rows = t.rows
         for r in range(min(ell, len(rows))):
             if rows[r][-1] > m:
-                return {
-                    "u": list(us[i]),
-                    "w": list(w),
-                    "detail": f"row {r + 1} of the P-tableau has max "
-                              f"{rows[r][-1]} > max(u) = {m}",
-                }
+                return f"row {r + 1} of the P-tableau has max {rows[r][-1]} > max(u) = {m}"
         return None
 
     checked, cx, complete = _sweep_members(us, cfg, test)
@@ -203,11 +207,12 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
 
     sets: dict = {k: set() for k in range(1, cfg.k_bound + 1)}
 
-    def test(i, w):
-        sets[i + 1].add(w)
+    def test(i, t):
+        sets[i + 1].add(t)
 
+    # The sets hold insertion tableaux; each stands for f^shape words.
     checked, _, complete = _sweep_members([u * k for k in sets], cfg, test)
-    observed: dict = {"set_sizes": [len(sets[k]) for k in range(1, cfg.k_bound + 1)]}
+    observed: dict = {"set_sizes": [sum(f_lambda(t.shape) for t in sets[k]) for k in sets]}
     if complete:
         non_containments = []
         bad_containment = 0
@@ -215,7 +220,7 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
         for k in range(1, cfg.k_bound):
             diff = sets[k] - sets[k + 1]
             if diff:
-                witness = min(diff)
+                witness = min(knuth_class(t)[0] for t in diff)
                 bad_containment = k
                 non_containments.append({"k": k, "w": list(witness)})
             if sets[k] != sets[k + 1]:
@@ -303,22 +308,16 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
 
     # side 0 maps C(u) towards C(u_rc), side 1 maps back
     sides = [u, u_rc]
-    tableaux = [set(), set()]
+    tableaux = [0, 0]
 
-    def test(i, w):
-        t = p_tableau(w)
-        tableaux[i].add(t)
+    def test(i, t):
+        tableaux[i] += 1
         image = tau_m(t, m)
         target = sides[1 - i]
         if in_centralizer(target, image.row_word()):
             return None
-        return {
-            "u": list(sides[i]),
-            "w": list(w),
-            "detail": f"tau_{m} image with row word "
-                      f"[{format_word(image.row_word())}] is not in "
-                      f"C({format_word(target)})",
-        }
+        return (f"tau_{m} image with row word [{format_word(image.row_word())}] is not in "
+                f"C({format_word(target)})")
 
     checked, cx, complete = _sweep_members(sides, cfg, test)
     elapsed = int((time.monotonic() - t0) * 1000)
@@ -330,8 +329,8 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
         counterexamples=tuple(cx),
         elapsed_ms=elapsed,
         observed={
-            "c_u_tableaux": len(tableaux[0]),
-            "c_rc_tableaux": len(tableaux[1]),
+            "c_u_tableaux": tableaux[0],
+            "c_rc_tableaux": tableaux[1],
         },
     )
 

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
@@ -67,6 +68,14 @@ def is_partition(parts: Iterable[int]) -> bool:
     return all(isinstance(p, int) and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
+
+
+def hook_product(shape: tuple) -> int:
+    """Product of the hook lengths of a partition shape."""
+    if not is_partition(shape):
+        raise ValueError(f"{shape} is not a partition")
+    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
+    return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
 
 
 def trim_zeros(comp: Iterable[int]) -> tuple:

@@ -59,6 +59,17 @@ def reload_kernels(speedups, monkeypatch):
 
 
 @pytest.fixture
+def pure_kernels(monkeypatch):
+    """plactic._kernels with the pure backend behind its entry points, with
+    no C build."""
+    from plactic import _kernels
+    from plactic._kernels import _pure
+
+    monkeypatch.setattr(_kernels, "_impl", _pure)
+    return _kernels
+
+
+@pytest.fixture
 def compiled_kernels(reload_kernels):
     """plactic._kernels reloaded with the built C module as its backend."""
     return reload_kernels(None)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the definitions, sharing no
 code with the library: straight-line insertion without binary search,
-brute-force subsequence scans, and exhaustive map enumeration.
+brute-force subsequence scans, and exhaustive map enumeration.  The sweep
+references replay, word by word, what the conjecture sweeps compute by
+member tableau.
 """
 
 from __future__ import annotations
@@ -43,6 +45,32 @@ def commutes_oracle(u, w):
 
 def centralizer_oracle(u, n, m):
     return [w for w in itertools.product(range(1, m + 1), repeat=n) if commutes_oracle(u, w)]
+
+
+def per_word_counterexamples(us, w_alphabet, w_length, detail):
+    """Counterexample payloads of a sweep made word by word: every member w
+    of C(us[i]), length by length and in lexicographic order, with
+    detail(i, P(w)) for each (None when w passes)."""
+    out = []
+    for i, u in enumerate(us):
+        for w in words_over(w_alphabet, w_length):
+            if commutes_oracle(u, w):
+                found = detail(i, p_oracle(w))
+                if found is not None:
+                    out.append({"u": list(u), "w": list(w), "detail": found})
+    return out
+
+
+def per_word_stability(u, k_bound, w_alphabet, w_length, member):
+    """(set sizes, non-containments) of a stability sweep made from word
+    sets: S_k holds the w with member(u^k, w), and a failed containment
+    S_k <= S_{k+1} is witnessed by the least word of the difference."""
+    sets = [
+        {w for w in words_over(w_alphabet, w_length) if member(tuple(u) * k, w)}
+        for k in range(1, k_bound + 1)
+    ]
+    missing = [{"k": k, "w": list(min(a - b))} for k, (a, b) in enumerate(zip(sets, sets[1:]), 1) if a - b]
+    return [len(s) for s in sets], missing
 
 
 def lwi_oracle(w):

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import pytest
@@ -7,6 +6,7 @@ from plactic import (
     BudgetExceededError,
     SweepConfig,
     SweepReport,
+    Tableau,
     check_coefficients,
     check_max_ri,
     check_rc,
@@ -16,6 +16,7 @@ from plactic import (
     rc_m,
 )
 from plactic.centralizer import require_budget
+from plactic.enumeration import iter_partitions, iter_ssyt
 from plactic.harness import (
     _coefficient_failures,
     _u_range,
@@ -24,6 +25,8 @@ from plactic.harness import (
     rc_pairs,
     words_up_to,
 )
+
+from helpers import commutes_oracle, p_oracle, per_word_counterexamples, per_word_stability
 
 GOLDEN_BUDGET = 10**6
 
@@ -240,16 +243,17 @@ def test_stability_bookkeeping_matches_direct_sets():
 
 
 def test_stability_reports_non_containments_but_still_holds(monkeypatch):
-    # fabricated member scan: C(u) is everything, C(u^k) for k >= 2 drops
-    # the empty word, so containment first holds from K = 2
+    # fabricated member fill: C(u) is everything (every tableau of the
+    # block), C(u^k) for k >= 2 drops the empty word, so containment first
+    # holds from K = 2
     import plactic.harness as harness
 
     def fake(uk, n, m, budget=None):
         if len(uk) > 1 and n == 0:
             return []
-        return list(itertools.product(range(1, m + 1), repeat=n))
+        return [t for lam in iter_partitions(n) for t in iter_ssyt(lam, m)]
 
-    monkeypatch.setattr(harness, "centralizer_words", fake)
+    monkeypatch.setattr(harness, "centralizer_tableaux", fake)
     cfg = SweepConfig("stability", w_alphabet=2, w_length=2, k_bound=3)
     report = check_stability((9,), cfg)
     assert report.verdict == "holds"
@@ -265,15 +269,14 @@ def test_stability_interrupt_marks_incomplete(monkeypatch):
     import plactic.harness as harness
 
     calls = {"n": 0}
-    real = harness.centralizer_words
 
     def flaky(uk, n, m, budget=None):
         calls["n"] += 1
         if calls["n"] == 5:  # k = 2, n = 1
             raise KeyboardInterrupt
-        return real(uk, n, m, budget=budget)
+        return [t for lam in iter_partitions(n) for t in iter_ssyt(lam, m)]
 
-    monkeypatch.setattr(harness, "centralizer_words", flaky)
+    monkeypatch.setattr(harness, "centralizer_tableaux", flaky)
     cfg = SweepConfig("stability", w_alphabet=2, w_length=2, k_bound=2)
     report = check_stability((1,), cfg)
     assert report.verdict == "incomplete"
@@ -407,3 +410,82 @@ def test_rc_shard_independence():
         for s in (1, 3)
     }
     assert len(blobs) == 1
+
+
+# The sweeps test each member tableau once and expand only the failing ones
+# into words.  No sweep in range finds a counterexample, so these patch a
+# step of the harness to make some tableaux fail and compare the report
+# with the same sweep made word by word.
+
+
+def test_max_ri_counterexamples_match_the_per_word_sweep(monkeypatch):
+    import plactic.harness as harness
+
+    # Bound three rows of P(w) for every u, so members fail on rows 2 and 3.
+    monkeypatch.setattr(harness, "p_tableau", lambda u: Tableau(((1,), (2,), (3,))))
+    cfg = SweepConfig("maxri", u_alphabet=2, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
+    us = _u_range(cfg)
+
+    def detail(i, rows):
+        m = max(us[i])
+        for r in range(min(3, len(rows))):
+            if rows[r][-1] > m:
+                return f"row {r + 1} of the P-tableau has max {rows[r][-1]} > max(u) = {m}"
+        return None
+
+    want = per_word_counterexamples(us, 3, 4, detail)
+    report = check_max_ri(cfg)
+    assert len(want) > 20
+    assert report.verdict == "counterexample"
+    assert report.counterexamples == tuple(want)
+    assert report.checked == len(us) * count_words_up_to(3, 4)
+
+
+def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
+    import plactic.harness as harness
+
+    # tau_m as the identity: a member tableau fails when its own row word
+    # is not in the other centralizer.
+    monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
+    cfg = SweepConfig("rc", w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
+    for u, m in (((1,), 2), ((1, 2), 3), ((2, 1, 2), 2)):
+        sides = [u, rc_m(u, m)]
+
+        def detail(i, rows):
+            row_word = tuple(a for row in reversed(rows) for a in row)
+            if in_centralizer(sides[1 - i], row_word):
+                return None
+            return (f"tau_{m} image with row word [{','.join(map(str, row_word))}] is not in "
+                    f"C({','.join(map(str, sides[1 - i]))})")
+
+        want = per_word_counterexamples(sides, 3, 4, detail)
+        report = check_rc(u, m, cfg)
+        assert want, (u, m)
+        assert report.verdict == "counterexample"
+        assert report.counterexamples == tuple(want), (u, m)
+
+
+def test_stability_witness_matches_the_per_word_sweep(monkeypatch):
+    import plactic.harness as harness
+
+    # Drop the tableaux of two or more rows from C(u^2) only: S_1 and S_3
+    # then hold words that S_2 lacks.
+    def keep(uk, rows):
+        return len(uk) != 2 * len(u) or len(rows) < 2
+
+    real = harness.centralizer_tableaux
+
+    def fake(uk, n, m, budget=None):
+        return [t for t in real(uk, n, m, budget=budget) if keep(uk, t.rows)]
+
+    monkeypatch.setattr(harness, "centralizer_tableaux", fake)
+    cfg = SweepConfig("stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)
+    for u in ((1,), (2, 1)):
+        sizes, missing = per_word_stability(
+            u, 3, 3, 4, lambda uk, w: commutes_oracle(uk, w) and keep(uk, p_oracle(w)))
+        report = check_stability(u, cfg)
+        assert missing and missing[0]["k"] == 1, u
+        assert report.observed["set_sizes"] == sizes, u
+        assert report.observed["non_containments"] == missing, u
+        assert report.observed["K"] == 2
+        assert report.observed["L"] == 3

@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 
@@ -6,9 +5,9 @@ import pytest
 
 from plactic._kernels import _pure
 
-from helpers import centralizer_oracle, commutes_oracle, p_oracle, words_over
+from helpers import centralizer_oracle, commutes_oracle, p_oracle, syt_count_oracle, words_over
 
-ENTRY_POINTS = ("insertion_rows", "commutes", "count_commuting", "commuting_words")
+ENTRY_POINTS = ("insertion_rows", "commutes", "commuting_tableaux", "commuting_words")
 BIG = 2**40  # beyond C int, inside C long long
 HUGE = 10**19  # beyond C long long
 SCAN_WORDS = ((), (1,), (2, 1), (1, 2), (2, 1, 2), (BIG, 1), (BIG, BIG))
@@ -45,32 +44,60 @@ def test_insert_rows_continues_a_tableau():
     assert _pure.insert_rows(rows, ()) == rows
 
 
-def test_count_and_words_agree():
+def test_count_and_words_agree(pure_kernels):
     for n in range(0, 5):
         for m in (1, 2, 3):
             ws = _pure.commuting_words((1, 2), n, m)
-            assert _pure.count_commuting((1, 2), n, m) == len(ws)
+            assert pure_kernels.count_commuting((1, 2), n, m) == len(ws)
             assert ws == sorted(ws)
 
 
-def test_edge_ranges():
+def test_edge_ranges(pure_kernels):
     # n = 0: the empty word always commutes
-    assert _pure.count_commuting((3, 1), 0, 5) == 1
+    assert pure_kernels.count_commuting((3, 1), 0, 5) == 1
+    assert _pure.commuting_tableaux((3, 1), 0, 5) == [()]
     assert _pure.commuting_words((3, 1), 0, 5) == [()]
     # m = 0 with n > 0: no words at all
-    assert _pure.count_commuting((1,), 3, 0) == 0
+    assert pure_kernels.count_commuting((1,), 3, 0) == 0
+    assert _pure.commuting_tableaux((1,), 3, 0) == []
     assert _pure.commuting_words((1,), 3, 0) == []
 
 
-def test_pure_scan_windows_match_oracle():
-    """The pure scan over all of [m]^n, for n <= 4 and -1 <= m <= 3, in both
-    modes, against the definition applied to every word."""
+def _fill_matches_oracle(commuting_tableaux, u, n, m):
+    """The fill's tableaux are exactly the P(w) of the member words, in
+    shape order and then row-word order, and their f^shape sum to the
+    number of members."""
+    members = centralizer_oracle(u, n, m)
+    got = commuting_tableaux(u, n, m)
+    assert set(got) == {p_oracle(w) for w in members} and len(set(got)) == len(got), (u, n, m)
+    assert sum(syt_count_oracle(map(len, rows)) for rows in got) == len(members), (u, n, m)
+    shapes = [tuple(map(len, rows)) for rows in got]
+    assert shapes == sorted(shapes, reverse=True), (u, n, m)
+    for shape in set(shapes):
+        row_words = [sum(reversed(rows), ()) for rows in got if tuple(map(len, rows)) == shape]
+        assert row_words == sorted(row_words), (u, n, m)
+
+
+def test_pure_scan_windows_match_oracle(pure_kernels):
+    """The pure scan over all of [m]^n, for n <= 4 and -1 <= m <= 3, in all
+    three modes (words, member tableaux, count), against the definition
+    applied to every word."""
     for u in SCAN_WORDS:
         for n in range(0, 5):
             for m in range(-1, 4):
-                want = [w for w in itertools.product(range(1, m + 1), repeat=n) if commutes_oracle(u, w)]
+                want = centralizer_oracle(u, n, m)
                 assert _pure.commuting_words(u, n, m) == want, (u, n, m)
-                assert _pure.count_commuting(u, n, m) == len(want), (u, n, m)
+                _fill_matches_oracle(_pure.commuting_tableaux, u, n, m)
+                assert pure_kernels.count_commuting(u, n, m) == len(want), (u, n, m)
+
+
+def test_compiled_fill_matches_oracle(speedups):
+    """Both backends share the tableau fill, so the brute oracle is the
+    independent check of the C one."""
+    for u in SCAN_WORDS:
+        for n in range(0, 5):
+            for m in range(-1, 4):
+                _fill_matches_oracle(speedups.commuting_tableaux, u, n, m)
 
 
 def test_membership_depends_on_the_insertion_tableau_alone():
@@ -82,12 +109,12 @@ def test_membership_depends_on_the_insertion_tableau_alone():
             assert verdict.setdefault(p_oracle(w), commutes_oracle(u, w)) == commutes_oracle(u, w), (u, w)
 
 
-def test_pure_count_memory_is_linear():
-    """The count keeps one level of tableaux at a time, so m = 1, where the
-    word budget passes any n, stays small at n = 1000."""
+def test_pure_count_memory_is_linear(pure_kernels):
+    """The count keeps one tableau P(u) <- (row word so far), so m = 1,
+    where the word budget passes any n, stays small at n = 1000."""
     tracemalloc.start()
     try:
-        assert _pure.count_commuting((1,), 1000, 1) == 1
+        assert pure_kernels.count_commuting((1,), 1000, 1) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -102,6 +129,10 @@ def test_backends_expose_the_four_entry_points(speedups):
             assert callable(getattr(module, name)), (module, name)
     assert not hasattr(_kernels, "insert_rows")
     assert not hasattr(speedups, "insert_rows")
+    # counting is written once, over the tableau fill
+    assert callable(_kernels.count_commuting)
+    assert not hasattr(_pure, "count_commuting")
+    assert not hasattr(speedups, "count_commuting")
     assert speedups.BACKEND == "c"
 
 
@@ -123,13 +154,24 @@ def test_backends_agree_on_commutes(speedups):
         assert speedups.commutes(u, u)
 
 
-def test_backends_agree_on_counting(speedups):
+def test_backends_agree_on_counting(reload_kernels):
+    cases = [(u, n, m) for u in SCAN_WORDS for n in range(0, 7) for m in range(-1, 5)]
+    cases += [(u, 2, 3) for u in _long_words()[:2]]
+    pure = reload_kernels("1")
+    want = [pure.count_commuting(*case) for case in cases]
+    compiled = reload_kernels(None)
+    assert compiled.BACKEND == "c"
+    assert [compiled.count_commuting(*case) for case in cases] == want
+
+
+def test_backends_agree_on_tableaux(speedups):
     for u in SCAN_WORDS:
         for n in range(0, 7):
             for m in range(-1, 5):
-                assert speedups.count_commuting(u, n, m) == _pure.count_commuting(u, n, m)
+                assert speedups.commuting_tableaux(u, n, m) == _pure.commuting_tableaux(u, n, m), (u, n, m)
     for u in _long_words()[:2]:
-        assert speedups.count_commuting(u, 2, 3) == _pure.count_commuting(u, 2, 3)
+        assert speedups.commuting_tableaux(u, 2, 3) == _pure.commuting_tableaux(u, 2, 3)
+    assert speedups.commuting_tableaux((1,), 1000, 1) == _pure.commuting_tableaux((1,), 1000, 1) == [((1,) * 1000,)]
 
 
 def test_backends_agree_on_word_lists(speedups):
@@ -142,10 +184,14 @@ def test_backends_agree_on_word_lists(speedups):
 
 
 def test_backends_reject_negative_length(speedups):
+    from plactic import _kernels
+
+    scans = [_kernels.count_commuting]
     for backend in (_pure, speedups):
-        for scan in (backend.count_commuting, backend.commuting_words):
-            with pytest.raises(ValueError):
-                scan((1,), -1, 2)
+        scans += [backend.commuting_tableaux, backend.commuting_words]
+    for scan in scans:
+        with pytest.raises(ValueError):
+            scan((1,), -1, 2)
 
 
 def test_scans_take_u_n_m_only(speedups):
@@ -153,10 +199,15 @@ def test_scans_take_u_n_m_only(speedups):
     keyword, and nothing else."""
     from plactic import _kernels
 
+    assert _kernels.count_commuting(u=(1,), n=3, m=2) == 3
     for backend in (_kernels, _pure, speedups):
-        assert backend.count_commuting(u=(1,), n=3, m=2) == 3
+        assert backend.commuting_tableaux(u=(1,), n=2, m=2) == [((1, 1),), ((1,), (2,))]
         assert backend.commuting_words(u=(1,), n=2, m=2) == [(1, 1), (2, 1)]
-        for scan in (backend.count_commuting, backend.commuting_words):
+    for backend in (_kernels, _pure, speedups):
+        scans = [backend.commuting_tableaux, backend.commuting_words]
+        if backend is _kernels:
+            scans.append(backend.count_commuting)
+        for scan in scans:
             with pytest.raises(TypeError):
                 scan((1,), 2, 2, start=0)
             with pytest.raises(TypeError):
@@ -178,6 +229,19 @@ def test_compiled_memory_is_near_linear(speedups):
         assert peak < 4 * 2**20
 
 
+def test_compiled_count_memory_is_linear(compiled_kernels):
+    """The C fill keeps one tableau P(u) <- (row word so far), so the count
+    at m = 1, where the word budget passes any n, stays small at n = 1000
+    (the odometer it replaced kept n prefix tableaux: 23 MiB)."""
+    tracemalloc.start()
+    try:
+        assert compiled_kernels.count_commuting((1,), 1000, 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_huge_letters_fall_back_to_pure(compiled_kernels):
     """Letters beyond C long long range must still give correct results
     through the public wrappers over the C backend."""
@@ -188,6 +252,8 @@ def test_huge_letters_fall_back_to_pure(compiled_kernels):
     assert _kernels.commutes((HUGE,), (HUGE,))
     assert not _kernels.commutes((HUGE, 1, HUGE), (1,))
     assert _kernels.count_commuting((HUGE,), 3, 2) == len(centralizer_oracle((HUGE,), 3, 2))
+    members = centralizer_oracle((HUGE, 1), 3, 2)
+    assert set(_kernels.commuting_tableaux((HUGE, 1), 3, 2)) == {p_oracle(w) for w in members}
     assert _kernels.commuting_words((HUGE, 1), 2, 2) == centralizer_oracle((HUGE, 1), 2, 2)
 
 
@@ -213,7 +279,7 @@ def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkey
     args = {
         "insertion_rows": lambda a: ((a, 1, a + 1),),
         "commutes": lambda a: ((a, a), (a,)),
-        "count_commuting": lambda a: ((a, 1), 3, 2),
+        "commuting_tableaux": lambda a: ((a, 1), 3, 2),
         "commuting_words": lambda a: ((a, 1), 2, 2),
     }
     for name in ENTRY_POINTS:
@@ -226,7 +292,7 @@ def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkey
         assert getattr(_kernels, name)(*args[name](HUGE)) == pure[name](*args[name](HUGE))
         assert calls[0] == name
     assert _kernels.commuting_words((HUGE, 1), 2, 2) == [(1, 1)]
-    assert count_centralizer_words((HUGE,), 2, 2) == _pure.count_commuting((HUGE,), 2, 2)
+    assert count_centralizer_words((HUGE,), 2, 2) == len(centralizer_oracle((HUGE,), 2, 2))
 
 
 def test_only_plactic_pure_1_forces_pure(reload_kernels):

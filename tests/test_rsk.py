@@ -17,8 +17,9 @@ from plactic import (
     rsk_pair,
 )
 from plactic.enumeration import iter_partitions, iter_ssyt
+from plactic.rsk import knuth_class
 
-from helpers import lwi_oracle, p_oracle, words_over
+from helpers import lwi_oracle, p_oracle, syt_count_oracle, words_over
 
 words = st.lists(st.integers(min_value=1, max_value=5), max_size=9).map(tuple)
 
@@ -133,6 +134,21 @@ def test_p_of_row_word_is_identity():
         for lam in iter_partitions(n):
             for t in iter_ssyt(lam, 4):
                 assert p_tableau(t.row_word()) == t
+
+
+def test_knuth_class():
+    """knuth_class(T) lists the f^shape words with P(w) = T, sorted."""
+    seen = {}
+    for w in words_over(3, 5):
+        t = p_tableau(w)
+        if t not in seen:
+            seen[t] = knuth_class(t)
+            assert len(seen[t]) == syt_count_oracle(t.shape)
+            assert seen[t] == sorted(set(seen[t]))
+            assert all(p_oracle(v) == t.rows for v in seen[t])
+        assert w in seen[t]
+    assert knuth_class(Tableau(())) == [()]
+    assert knuth_class(Tableau(((1, 3), (2,)))) == [(2, 1, 3), (2, 3, 1)]
 
 
 def test_lemma_dominance_suite():
