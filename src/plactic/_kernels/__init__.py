@@ -1,19 +1,17 @@
-"""Kernel backend selection, and counting by member tableau.
+"""Kernel backend selection, and counting and listing by member tableau.
 
-The four backend entry points are ``insertion_rows``, ``commutes``,
-``commuting_tableaux`` and ``commuting_words``.  ``_pure`` implements them
-in Python.  The C extension ``_speedups`` (built from ``_speedups.c`` by
-``python setup.py build_ext --inplace``) implements the same four, with
-the same tableau fill and the same results; its ``commuting_words`` is an
-odometer that tests every word, where the pure one tests each insertion
-tableau once.  The C module is used when it is importable; PLACTIC_PURE=1,
-and no other value, forces pure Python.  ``BACKEND`` is ``"c"`` or
-``"pure"``.  The C module holds letters as C long long, so a call with a
-letter beyond that range raises OverflowError there and is retried in pure
-Python.
+The three backend entry points are ``insertion_rows``, ``commutes`` and
+``commuting_tableaux``.  ``_pure`` implements them in Python.  The C
+extension ``_speedups`` (built from ``_speedups.c`` by
+``python setup.py build_ext --inplace``) implements the same three, with
+the same tableau fill and the same results.  The C module is used when it
+is importable; PLACTIC_PURE=1, and no other value, forces pure Python.
+``BACKEND`` is ``"c"`` or ``"pure"``.  The C module holds letters as C
+long long, so a call with a letter beyond that range raises OverflowError
+there and is retried in pure Python.
 
-``count_commuting`` is written once, here, on top of
-``commuting_tableaux``.
+``count_commuting`` and ``commuting_words`` are written once, here, on top
+of ``commuting_tableaux``.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ def _retry_in_pure(name):
 insertion_rows = _retry_in_pure("insertion_rows")
 commutes = _retry_in_pure("commutes")
 commuting_tableaux = _retry_in_pure("commuting_tableaux")
-commuting_words = _retry_in_pure("commuting_words")
 
 
 def count_commuting(u, n, m):
@@ -66,3 +63,69 @@ def count_commuting(u, n, m):
     shapes = Counter(tuple(map(len, rows)) for rows in commuting_tableaux(u, n, m))
     words = math.factorial(n)
     return sum(count * (words // hook_product(shape)) for shape, count in shapes.items())
+
+
+def commuting_words(u, n, m):
+    """The words w in [m]^n with P(uw) == P(wu), in lexicographic order:
+    the words of the Knuth classes of commuting_tableaux(u, n, m)."""
+    return class_words(commuting_tableaux(u, n, m), n)
+
+
+def class_words(tableaux, n):
+    """The words w with P(w) in ``tableaux`` (distinct tableaux of n cells,
+    as tuples of row tuples), in lexicographic order.
+
+    The words of length n are the letter sequences of the insertion paths
+    () -> P(w[:1]) -> ... -> P(w).  The paths that end in ``tableaux`` are
+    built back, level by level from n cells down to none: reverse-bumping
+    the last cell of each corner row of T gives (S, a) with S <- a = T, an
+    edge labelled a from S to T.  Only integer ids and edges are kept per
+    level, so beyond the words the memory is that of two levels of
+    tableaux and the edges.  The words are then the paths from the empty
+    tableau, walked in letter order with an explicit stack.
+    """
+    level = {rows: i for i, rows in enumerate(tableaux)}
+    if not level:
+        return []
+    if n == 0:
+        return [()]
+    # edges[k][i]: the (letter, id at level k + 1) edges out of tableau i at
+    # level k, sorted.  Every tableau below level n has at least one.
+    edges = [None] * n
+    for k in range(n - 1, -1, -1):
+        below = {}
+        out = []
+        for rows, i in level.items():
+            for r, row in enumerate(rows):
+                if r + 1 < len(rows) and len(rows[r + 1]) == len(row):
+                    continue  # not a corner row
+                # Only rows 0..r change; the rows under r are shared.
+                top = [list(x) for x in rows[: r + 1]]
+                a = _pure._pop(top, r)
+                s = tuple([tuple(x) for x in top]) + rows[r + 1 :]
+                j = below.get(s)
+                if j is None:
+                    j = below[s] = len(out)
+                    out.append([])
+                out[j].append((a, i))
+        for e in out:
+            e.sort()
+        edges[k] = out
+        level = below
+    found = []
+    word = []
+    stack = [iter(edges[0][0])]
+    while stack:
+        for a, i in stack[-1]:
+            word.append(a)
+            if len(word) == n:
+                found.append(tuple(word))
+                word.pop()
+            else:
+                stack.append(iter(edges[len(word)][i]))
+            break
+        else:
+            stack.pop()
+            if word:
+                word.pop()
+    return found

@@ -1,20 +1,17 @@
 """Pure-Python insertion kernels.
 
-Reference implementation of the four kernel entry points: Schensted row
+Reference implementation of the three kernel entry points: Schensted row
 insertion (``insertion_rows``), the commutation test P(uw) == P(wu)
-(``commutes``), and the members of C(u) in [m]^n, listed by insertion
-tableau (``commuting_tableaux``) and word by word (``commuting_words``).
-Letters are unbounded Python ints here.
+(``commutes``), and the insertion tableaux of the members of C(u) in
+[m]^n (``commuting_tableaux``).  Letters are unbounded Python ints here.
 
-Both listings test membership once per insertion tableau, not once per
+The listing tests membership once per insertion tableau, not once per
 word: Knuth equivalence is a congruence, so whether w commutes with u
 depends on P(w) alone.  ``commuting_tableaux`` fills each tableau by
 backtracking, the algorithm of the C module plactic._kernels._speedups as
-well, so the brute-force definition is its independent check.
-``commuting_words`` runs an odometer over w[:n-1] and memoizes the
-commuting last letters per P(w[:n-1]); the C odometer tests every word, so
-there each backend is an oracle for the other.  Counting is written once,
-in plactic._kernels, over ``commuting_tableaux``.
+well, so the brute-force definition is its independent check.  Counting
+and listing the words are written once, in plactic._kernels, over
+``commuting_tableaux``; the word listing reverse-bumps with ``_pop``.
 
 Tableaux are passed around as tuples of row tuples (top row first).
 """
@@ -26,25 +23,6 @@ from bisect import bisect_left, bisect_right
 BACKEND = "pure"
 
 
-def _insert(rows, a):
-    # Bump the leftmost entry strictly greater than a; rows not touched by
-    # the bump chain are shared with the input.
-    out = list(rows)
-    r = 0
-    while True:
-        if r == len(out):
-            out.append((a,))
-            return tuple(out)
-        row = out[r]
-        pos = bisect_right(row, a)
-        if pos == len(row):
-            out[r] = row + (a,)
-            return tuple(out)
-        out[r] = row[:pos] + (a,) + row[pos + 1 :]
-        a = row[pos]
-        r += 1
-
-
 def insertion_rows(word):
     """Insertion tableau of ``word`` as a tuple of row tuples."""
     return insert_rows((), word)
@@ -52,8 +30,7 @@ def insertion_rows(word):
 
 def insert_rows(rows, letters):
     """Insert ``letters`` in order into an existing tableau (a step of
-    ``commutes`` and of the scan's membership test, not a kernel entry
-    point)."""
+    ``commutes``, not a kernel entry point)."""
     out = [list(row) for row in rows]
     for a in letters:
         for row in out:
@@ -74,22 +51,6 @@ def commutes(u, w):
     u = tuple(u)
     w = tuple(w)
     return insert_rows(insertion_rows(u), w) == insert_rows(insertion_rows(w), u)
-
-
-def _commuting_letters(prefix, u, pu, m):
-    """The letters a in [1, m] for which w . a commutes with u, for every
-    word w with P(w) = prefix; pu is P(u).
-
-    Knuth equivalence is a congruence, so P(w . a . u) is prefix <- a <- u
-    and P(u . w . a) is P(u . w) <- a, where P(u . w) is P(u) <- the row
-    word of prefix.
-    """
-    uw = insert_rows(pu, [b for row in reversed(prefix) for b in row])
-    found = []
-    for a in range(1, m + 1):
-        if insert_rows(_insert(prefix, a), u) == _insert(uw, a):
-            found.append(a)
-    return tuple(found)
 
 
 def _shapes(n, rows):
@@ -133,7 +94,7 @@ def _push(rows, a):
 
 def _pop(rows, r):
     """Undo the _push that grew row r: reverse-bump its last entry up to
-    the first row and drop the letter that leaves it."""
+    the first row and return the letter that leaves it."""
     a = rows[r].pop()
     if not rows[r]:
         rows.pop()
@@ -141,6 +102,7 @@ def _pop(rows, r):
         row = rows[r]
         pos = bisect_left(row, a) - 1  # the rightmost entry < a
         row[pos], a = a, row[pos]
+    return a
 
 
 def commuting_tableaux(u, n, m):
@@ -209,41 +171,3 @@ def commuting_tableaux(u, n, m):
                 v = row[j] + 1
     return found
 
-
-def commuting_words(u, n, m):
-    """The words themselves, in lexicographic order.
-
-    An odometer over the first n - 1 letters keeps P(w[:i]) for each prefix
-    length i.  Each prefix is followed by its commuting last letters, which
-    are memoized per P(w[:n-1]).
-    """
-    if n < 0:
-        raise ValueError("word length must be >= 0")
-    if n == 0:
-        return [()]
-    if m < 1:
-        return []
-    u = tuple(u)
-    pu = insertion_rows(u)
-    memo = {}  # P(w[:n-1]) -> its commuting last letters
-    digits = [1] * (n - 1)  # the letters of w[:n-1]
-    tabs = [()] * n  # tabs[i] = P(w[:i])
-    for i in range(n - 1):
-        tabs[i + 1] = _insert(tabs[i], 1)
-    found = []
-    while True:
-        letters = memo.get(tabs[n - 1])
-        if letters is None:
-            letters = memo[tabs[n - 1]] = _commuting_letters(tabs[n - 1], u, pu, m)
-        if letters:
-            prefix = tuple(digits)
-            found.extend([prefix + (a,) for a in letters])
-        p = n - 2
-        while p >= 0 and digits[p] == m:
-            digits[p] = 1
-            p -= 1
-        if p < 0:
-            return found
-        digits[p] += 1
-        for i in range(p, n - 1):
-            tabs[i + 1] = _insert(tabs[i], digits[i])

@@ -1,10 +1,8 @@
-/* Compiled insertion kernels in C99, with the entry points and results of
- * plactic._kernels._pure.  commuting_tableaux is the same backtracking
- * fill as in pure, checked against the brute-force definition by the
- * tests; commuting_words is an odometer that inserts every word, where the
- * pure one tests each insertion tableau once, so there each backend is an
- * oracle for the other.  Counting is done in plactic._kernels over
- * commuting_tableaux.
+/* Compiled insertion kernels in C99, with the three entry points and the
+ * results of plactic._kernels._pure.  commuting_tableaux is the same
+ * backtracking fill as in pure, checked against the brute-force definition
+ * by the tests.  Counting and listing the words are done in
+ * plactic._kernels over commuting_tableaux.
  *
  * Letters are C long long.  A letter outside that range raises
  * OverflowError, and plactic._kernels retries such a call in pure Python.
@@ -121,12 +119,12 @@ static int tab_equal(const long long *x, const long long *y, const Py_ssize_t *o
     return 1;
 }
 
-/* The tuple (xs[0] + add, ..., xs[n - 1] + add). */
-static PyObject *int_tuple(const long long *xs, Py_ssize_t n, long long add)
+/* The tuple (xs[0], ..., xs[n - 1]). */
+static PyObject *int_tuple(const long long *xs, Py_ssize_t n)
 {
     PyObject *out = PyTuple_New(n);
     for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
-        PyObject *x = PyLong_FromLongLong(xs[i] + add);
+        PyObject *x = PyLong_FromLongLong(xs[i]);
         if (x == NULL)
             Py_CLEAR(out);
         else
@@ -139,7 +137,7 @@ static PyObject *tab_rows(const long long *t, const Py_ssize_t *off)
 {
     PyObject *rows = PyTuple_New(t[0]);
     for (long long r = 0; rows != NULL && r < t[0]; r++) {
-        PyObject *row = int_tuple(t + off[r], t[1 + r], 0);
+        PyObject *row = int_tuple(t + off[r], t[1 + r]);
         if (row == NULL)
             Py_CLEAR(rows);
         else
@@ -213,79 +211,6 @@ static PyObject *commutes(PyObject *self, PyObject *args)
     PyMem_Free(t);
     PyMem_Free(off);
     PyMem_Free(w);
-    PyMem_Free(u);
-    return result;
-}
-
-/* The words w in [m]^n with P(uw) == P(wu), in lexicographic order.  An
- * odometer keeps the tableaux P(w[:i]) and P(u . w[:i]) of every prefix,
- * so each step re-inserts only the changed suffix. */
-static PyObject *commuting_words(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"u", "n", "m", NULL};
-    PyObject *uobj;
-    Py_ssize_t n;
-    Py_ssize_t m;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Onn:commuting_words", kwlist, &uobj, &n, &m))
-        return NULL;
-    if (n < 0) {
-        PyErr_SetString(PyExc_ValueError, "word length must be >= 0");
-        return NULL;
-    }
-    if (n > 0 && m < 1)
-        return PyList_New(0);
-
-    Py_ssize_t ulen = 0;
-    long long *u = read_word(uobj, &ulen);
-    Py_ssize_t N = n + ulen;
-    /* The letters are [1, m] and those of u, so at most m + ulen rows. */
-    Py_ssize_t R = m > 0 && m < n ? m + ulen : N;
-    Py_ssize_t *off = u == NULL ? NULL : row_offsets(N, R);
-    /* tabs[i] = P(w[:i]), tabs[n + 1 + i] = P(u . w[:i]), then the leaf
-     * tableau, then the n odometer digits (off[R] > N slots). */
-    long long *tabs = off == NULL ? NULL : new_tableaux(off, R, 2 * n + 4);
-    PyObject *found = tabs == NULL ? NULL : PyList_New(0);
-    PyObject *result = NULL;
-    if (found == NULL)
-        goto done;
-    Py_ssize_t size = off[R];
-    long long *pa = tabs;
-    long long *pb = tabs + (n + 1) * size;
-    long long *leaf = tabs + (2 * n + 2) * size;
-    long long *digits = tabs + (2 * n + 3) * size;
-    for (Py_ssize_t i = 0; i < ulen; i++)
-        tab_insert(pb, off, u[i]);
-    /* The digits start at all 0s, the word at all 1s. */
-    for (Py_ssize_t changed = 0; changed >= 0;) {
-        for (Py_ssize_t i = changed; i < n; i++) {
-            tab_copy(pa + (i + 1) * size, pa + i * size, off);
-            tab_insert(pa + (i + 1) * size, off, digits[i] + 1);
-            tab_copy(pb + (i + 1) * size, pb + i * size, off);
-            tab_insert(pb + (i + 1) * size, off, digits[i] + 1);
-        }
-        tab_copy(leaf, pa + n * size, off);
-        for (Py_ssize_t i = 0; i < ulen; i++)
-            tab_insert(leaf, off, u[i]);
-        if (tab_equal(leaf, pb + n * size, off)) {
-            PyObject *w = int_tuple(digits, n, 1);
-            if (w == NULL || PyList_Append(found, w) < 0) {
-                Py_XDECREF(w);
-                goto done;
-            }
-            Py_DECREF(w);
-        }
-        /* Advance the odometer; the carry past digit 0 ends the scan. */
-        changed = n - 1;
-        while (changed >= 0 && digits[changed] == m - 1)
-            digits[changed--] = 0;
-        if (changed >= 0)
-            digits[changed]++;
-    }
-    result = Py_NewRef(found);
-done:
-    Py_XDECREF(found);
-    PyMem_Free(tabs);
-    PyMem_Free(off);
     PyMem_Free(u);
     return result;
 }
@@ -417,8 +342,6 @@ static PyMethodDef methods[] = {
     {"commutes", commutes, METH_VARARGS, "True iff P(u.w) == P(w.u)."},
     {"commuting_tableaux", (PyCFunction)(void (*)(void))commuting_tableaux, METH_VARARGS | METH_KEYWORDS,
      "The tableaux T with n cells and entries <= m with T <- u == P(u) <- rowword(T)."},
-    {"commuting_words", (PyCFunction)(void (*)(void))commuting_words, METH_VARARGS | METH_KEYWORDS,
-     "The words themselves, in lexicographic order."},
     {NULL, NULL, 0, NULL},
 };
 

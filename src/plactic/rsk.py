@@ -111,26 +111,8 @@ def inverse_rsk(p: Tableau, q: Tableau) -> Word:
 
 
 def knuth_class(t: Tableau) -> list:
-    """The words w with P(w) = t, sorted: inverse_rsk(t, Q) over the
-    standard tableaux Q of t's shape, so there are f^shape of them."""
-    shape = t.shape
-    # Each standard tableau as the rows of 1, 2, ..., n in turn, grown one
-    # entry at a time alongside its row lengths.
-    fills = [((), (0,) * len(shape))]
-    for _ in range(t.size):
-        fills = [
-            (fill + (r,), have[:r] + (k + 1,) + have[r + 1 :])
-            for fill, have in fills
-            for r, k in enumerate(have)
-            if k < shape[r] and (r == 0 or have[r - 1] > k)
-        ]
-    words = []
-    for fill, _ in fills:
-        q = [[] for _ in shape]
-        for entry, r in enumerate(fill, start=1):
-            q[r].append(entry)
-        words.append(inverse_rsk(t, Tableau._unchecked(tuple(map(tuple, q)))))
-    return sorted(words)
+    """The words w with P(w) = t, sorted; there are f^shape of them."""
+    return _kernels.class_words([t.rows], t.size)
 
 
 def _longest_weak_prefix_lengths(w: Word) -> list:

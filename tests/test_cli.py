@@ -5,6 +5,8 @@ import pytest
 from plactic import SweepReport
 from plactic.cli import cli_dispatch
 
+from helpers import centralizer_oracle
+
 
 def run(capsys, *argv):
     code = cli_dispatch(list(argv))
@@ -57,6 +59,30 @@ def test_centralizer_listing(capsys):
     assert out == "1,1\n2,1\n"
     code, out, _ = run(capsys, "centralizer", "1", "--len", "2", "--max", "2", "--json")
     assert json.loads(out) == {"words": [[1, 1], [2, 1]]}
+
+
+def test_listing_and_count_bytes_do_not_depend_on_the_backend(capsys, reload_kernels):
+    """centralizer and count print the same bytes under PLACTIC_PURE=1 and
+    under the C module, and the listing is the definition's word list."""
+    us = {(1,): "1", (2, 1): "21", (1, 2): "12", (2**40, 1): f"{2**40},1"}
+    cases = [(u, n, m) for u in us for n in range(0, 7) for m in range(0, 4)]
+
+    def outputs():
+        out = []
+        for u, n, m in cases:
+            for command in ("centralizer", "count"):
+                code, text, _ = run(capsys, command, us[u], "--len", str(n), "--max", str(m), "--json")
+                assert code == 0, (command, u, n, m)
+                out.append(text)
+        return out
+
+    assert reload_kernels("1").BACKEND == "pure"
+    pure = outputs()
+    assert reload_kernels(None).BACKEND == "c"
+    assert outputs() == pure
+    for (u, n, m), listing in zip(cases, pure[::2]):
+        words = centralizer_oracle(u, n, m)
+        assert listing == json.dumps({"words": [list(w) for w in words]}, separators=(",", ":")) + "\n"
 
 
 def test_count(capsys):
