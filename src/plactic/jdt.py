@@ -123,16 +123,15 @@ def _pick_corner(corners, policy):
     raise ValueError(f"unknown policy {policy!r}: expected one of {POLICIES}")
 
 
-def rectify_steps(skew: SkewTableau, policy: str = "column") -> list:
-    """All intermediate states of rectification, initial state included."""
-    states = [skew]
+def _slide_out(skew: SkewTableau, policy: str):
+    """Slide every blank out of ``skew``, one corner per step of ``policy``,
+    on one mutable grid; yield (grid, outer, inner) before the first step
+    and after each.  The yielded lists are live, not copies."""
     inner = _inner_profile(skew)
     outer = list(skew.outer)
     grid = _grid(skew, inner)
-    while True:
-        corners = _mu_corners(outer, inner)
-        if not corners:
-            break
+    yield grid, outer, inner
+    while corners := _mu_corners(outer, inner):
         i, j = _pick_corner(corners, policy)
         if _has_filled_neighbor(outer, inner, i, j):
             _slide_once(grid, outer, inner, i, j)
@@ -142,13 +141,22 @@ def rectify_steps(skew: SkewTableau, policy: str = "column") -> list:
             del grid[i][j]
             outer[i] -= 1
             inner[i] -= 1
-        states.append(_from_grid(grid, [n for n in outer], [n for n in inner]))
-    return states
+        yield grid, outer, inner
+
+
+def rectify_steps(skew: SkewTableau, policy: str = "column") -> list:
+    """All intermediate states of rectification, initial state included."""
+    steps = _slide_out(skew, policy)
+    next(steps)
+    return [skew] + [_from_grid(*state) for state in steps]
 
 
 def rectify(skew: SkewTableau, policy: str = "column") -> Tableau:
-    """Rectification: slide all blanks out, yielding a straight tableau."""
-    return rectify_steps(skew, policy)[-1].to_tableau()
+    """Rectification: slide all blanks out, yielding a straight tableau.
+    Only the final state is built (and validated)."""
+    for state in _slide_out(skew, policy):
+        pass
+    return _from_grid(*state).to_tableau()
 
 
 def p_via_jdt(u: Iterable[int], w: Iterable[int], policy: str = "column") -> Tableau:

@@ -1,8 +1,10 @@
 """Row insertion, the RSK correspondence, and weakly increasing subsequences.
 
-``p_tableau`` goes through the compiled kernel when available; the traced
-single-letter insertion and the (P, Q) pair builder are pure Python since
-they only run at interactive scale.
+``p_tableau`` goes through the compiled kernel when available.  The (P, Q)
+pair builder and its inverse fold the in-place row-list bumps of the pure
+kernel, ``_push`` and ``_pop``, and build each tableau once; the traced
+single-letter ``row_insert`` is kept as public API and as the pair
+builder's independent oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from bisect import bisect_right
 from typing import Iterable
 
 from . import _kernels
+from ._kernels._pure import _pop, _push
 from .errors import QNotStandardError, ShapeMismatchError
 from .tableau import Tableau, Word, word
 
@@ -55,17 +58,18 @@ def p_tableau(w: Iterable[int]) -> Tableau:
 
 def rsk_pair(w: Iterable[int]) -> tuple:
     """The RSK pair (P, Q); Q is standard and records insertion order."""
-    w = word(w)
-    p = Tableau._unchecked(())
+    p_rows: list = []
     q_rows: list = []
-    for k, a in enumerate(w, start=1):
-        p, path = row_insert(p, a)
-        r = path[-1][0] - 1
+    for k, a in enumerate(word(w), start=1):
+        r = _push(p_rows, a)
         if r == len(q_rows):
-            q_rows.append((k,))
-        else:
-            q_rows[r] = q_rows[r] + (k,)
-    return p, Tableau._unchecked(tuple(q_rows))
+            q_rows.append([])
+        q_rows[r].append(k)
+    return _as_tableau(p_rows), _as_tableau(q_rows)
+
+
+def _as_tableau(rows: list) -> Tableau:
+    return Tableau._unchecked(tuple([tuple(row) for row in rows]))
 
 
 def _check_standard(q: Tableau) -> None:
@@ -82,30 +86,9 @@ def inverse_rsk(p: Tableau, q: Tableau) -> Word:
     if p.shape != q.shape:
         raise ShapeMismatchError(f"P shape {p.shape} != Q shape {q.shape}")
     _check_standard(q)
-    n = p.size
-    rows = [list(r) for r in p.rows]
-    pos = {}
-    for i, row in enumerate(q.rows):
-        for j, a in enumerate(row):
-            pos[a] = (i, j)
-    out = []
-    for t in range(n, 0, -1):
-        i, j = pos[t]
-        x = rows[i].pop()
-        if not rows[i]:
-            rows.pop()
-        for r in range(i - 1, -1, -1):
-            row = rows[r]
-            # rightmost entry < x
-            lo, hi = 0, len(row)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if row[mid] < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            row[lo - 1], x = x, row[lo - 1]
-        out.append(x)
+    rows = [list(row) for row in p.rows]
+    row_of = {t: i for i, row in enumerate(q.rows) for t in row}
+    out = [_pop(rows, row_of[t]) for t in range(p.size, 0, -1)]
     out.reverse()
     return tuple(out)
 
@@ -115,22 +98,17 @@ def knuth_class(t: Tableau) -> list:
     return _kernels.class_words([t.rows], t.size)
 
 
-def _longest_weak_prefix_lengths(w: Word) -> list:
-    # lengths[i] = longest weakly increasing subsequence ending at index i
-    lengths = []
-    for i, a in enumerate(w):
-        best = 0
-        for j in range(i):
-            if w[j] <= a and lengths[j] > best:
-                best = lengths[j]
-        lengths.append(best + 1)
-    return lengths
+def _first_row(w: Word) -> tuple:
+    # Row 1 of P(w) holds, in place i, the least letter that ends a weakly
+    # increasing subsequence of length i + 1 (Schensted's theorem).
+    rows = _kernels.insertion_rows(w)
+    return rows[0] if rows else ()
 
 
 def lwi(w: Iterable[int]) -> int:
-    """Length of the longest weakly increasing subsequence."""
-    w = word(w)
-    return max(_longest_weak_prefix_lengths(w), default=0)
+    """Length of the longest weakly increasing subsequence: the length of
+    the first row of P(w)."""
+    return len(_first_row(word(w)))
 
 
 def lwi_ending_at(w: Iterable[int], a: int) -> int:
@@ -138,9 +116,12 @@ def lwi_ending_at(w: Iterable[int], a: int) -> int:
 
     Only the rightmost occurrence of ``a`` matters: moving the final letter
     of such a subsequence to a later occurrence keeps it weakly increasing.
+    The longest one ending there is that ``a`` after the longest one in the
+    prefix before it whose last letter is <= a, and row 1 of P(prefix)
+    holds exactly that many entries <= a.
     """
     w = word(w)
     for i in range(len(w) - 1, -1, -1):
         if w[i] == a:
-            return _longest_weak_prefix_lengths(w[: i + 1])[i]
+            return bisect_right(_first_row(w[:i]), a) + 1
     return 0

@@ -17,6 +17,7 @@ from plactic import (
     southwest_concat,
 )
 from plactic.enumeration import iter_partitions, iter_ssyt
+from plactic.jdt import POLICIES
 
 
 def small_tableaux(max_cells, max_entry):
@@ -123,6 +124,40 @@ def test_rectify_steps_shrink_inner():
     assert steps[-1].is_straight()
     blanks = [sum(st.inner) for st in steps]
     assert blanks == sorted(blanks, reverse=True)
+
+
+def test_rectify_builds_only_the_final_state(monkeypatch):
+    """rectify slides on one grid and builds a SkewTableau only for the
+    result, however many slides it takes."""
+    u, w = (5, 4, 3, 2, 1, 1, 2, 3, 4, 5), (3, 2, 1, 1, 2, 3)
+    s = southwest_concat(p_tableau(u), p_tableau(w))
+    assert sum(s.inner) >= 10
+    built = []
+    init = SkewTableau.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SkewTableau, "__init__", counting_init)
+    for policy in POLICIES:
+        built.clear()
+        assert rectify(s, policy) == p_tableau(u + w)
+        assert len(built) <= 1
+
+
+def test_rectify_is_the_last_step():
+    """rectify ends where rectify_steps does, and every step removes one
+    blank, over all southwest concatenations of tableaux with at most 3
+    cells each, for both policies."""
+    pool = small_tableaux(3, 3)
+    for a in pool:
+        for b in pool:
+            s = southwest_concat(a, b)
+            for policy in POLICIES:
+                steps = rectify_steps(s, policy)
+                assert rectify(s, policy) == steps[-1].to_tableau()
+                assert len(steps) == sum(s.inner) + 1
 
 
 def test_rectify_rejects_unknown_policy():

@@ -4,8 +4,9 @@ import tracemalloc
 import pytest
 
 from plactic._kernels import _pure
+from plactic.enumeration import iter_partitions, iter_ssyt
 
-from helpers import centralizer_oracle, commutes_oracle, p_oracle, syt_count_oracle, words_over
+from helpers import centralizer_oracle, commutes_oracle, insert_oracle, p_oracle, syt_count_oracle, words_over
 
 ENTRY_POINTS = ("insertion_rows", "commutes", "commuting_tableaux")
 BIG = 2**40  # beyond C int, inside C long long
@@ -35,6 +36,21 @@ def test_pure_commutes_matches_oracle():
     for u in words_over(3, 3):
         for w in words_over(3, 3):
             assert _pure.commutes(u, w) == commutes_oracle(u, w)
+
+
+def test_pop_undoes_push():
+    """Reverse-bumping the row that a letter's insertion grew gives back
+    the letter and the tableau, on every SSYT of <= 5 cells over [3]."""
+    for n in range(6):
+        for shape in iter_partitions(n):
+            for t in iter_ssyt(shape, 3):
+                for a in range(1, 5):
+                    rows = [list(row) for row in t.rows]
+                    r = _pure._push(rows, a)
+                    assert rows == insert_oracle(t.rows, a)
+                    assert [i for i, row in enumerate(rows) if len(row) > len(t.row(i + 1))] == [r]
+                    assert _pure._pop(rows, r) == a
+                    assert rows == [list(row) for row in t.rows]
 
 
 def test_insert_rows_continues_a_tableau():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,26 @@ from plactic.rsk import knuth_class
 from helpers import lwi_oracle, p_oracle, syt_count_oracle, words_over
 
 words = st.lists(st.integers(min_value=1, max_value=5), max_size=9).map(tuple)
+BIG = 2**40
+
+
+def rsk_pair_by_row_insert(w):
+    """(P, Q) rows by folding the public row_insert over w: Q takes k in the
+    row of the last step of the k-th bump trace."""
+    p = Tableau(())
+    q_rows = []
+    for k, a in enumerate(w, start=1):
+        p, trace = row_insert(p, a)
+        r = trace[-1][0] - 1
+        if r == len(q_rows):
+            q_rows.append(())
+        q_rows[r] += (k,)
+    return p.rows, tuple(q_rows)
+
+
+def _pair_rows(w):
+    p, q = rsk_pair(w)
+    return p.rows, q.rows
 
 
 def test_row_insert_examples():
@@ -67,9 +88,30 @@ def test_rsk_pair_increasing_word():
     assert p.rows == ((1, 2, 2, 4),)
 
 
+def test_rsk_pair_matches_row_insert_exhaustive():
+    for w in words_over(3, 7):
+        assert _pair_rows(w) == rsk_pair_by_row_insert(w)
+
+
+@given(st.lists(st.integers(1, 4) | st.integers(1, BIG), max_size=30).map(tuple))
+def test_rsk_pair_matches_row_insert_property(w):
+    assert _pair_rows(w) == rsk_pair_by_row_insert(w)
+
+
+def test_rsk_long_word_big_letters():
+    """A 2,000-letter word with letters up to 2^40 and repeats: rsk_pair
+    agrees with folding row_insert, and inverse_rsk gives the word back."""
+    rng = random.Random(20261018)
+    w = tuple(rng.choice((rng.randint(1, 9), rng.randint(1, BIG))) for _ in range(2000))
+    p, q = rsk_pair(w)
+    assert (p.rows, q.rows) == rsk_pair_by_row_insert(w)
+    assert inverse_rsk(p, q) == w
+
+
 def test_inverse_rsk_examples():
     assert inverse_rsk(Tableau(((1, 2), (2,))), Tableau(((1, 3), (2,)))) == (2, 1, 2)
     assert inverse_rsk(Tableau(()), Tableau(())) == ()
+    assert rsk_pair(()) == (Tableau(()), Tableau(()))
     assert inverse_rsk(Tableau(((5,),)), Tableau(((1,),))) == (5,)
 
 
@@ -80,6 +122,13 @@ def test_inverse_rsk_errors():
         inverse_rsk(Tableau(((1, 1),)), Tableau(((1, 1),)))
     with pytest.raises(QNotStandardError):
         inverse_rsk(Tableau(((1, 1),)), Tableau(((2, 3),)))
+    p = Tableau(((1, 2), (2,)))
+    with pytest.raises(ShapeMismatchError):
+        inverse_rsk(p, Tableau(()))
+    with pytest.raises(QNotStandardError):  # 2 twice, no 3
+        inverse_rsk(p, Tableau(((1, 2), (2,))))
+    with pytest.raises(QNotStandardError):  # a gap: 1, 2, 4
+        inverse_rsk(p, Tableau(((1, 2), (4,))))
 
 
 def test_rsk_roundtrip_exhaustive():
@@ -111,6 +160,16 @@ def test_lwi_is_first_row_length(w):
 @given(st.lists(st.integers(min_value=1, max_value=4), max_size=10).map(tuple))
 def test_lwi_matches_subset_oracle(w):
     assert lwi(w) == lwi_oracle(w)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=1, max_value=4), max_size=10).map(tuple), st.integers(1, 4))
+def test_lwi_ending_at_matches_subset_oracle(w, a):
+    """Against the definition: the longest weakly increasing subsequence,
+    over every subset of positions, whose last letter is a."""
+    subsets = (tuple(itertools.compress(w, keep)) for keep in itertools.product((0, 1), repeat=len(w)))
+    expect = max((len(s) for s in subsets if s[-1:] == (a,) and list(s) == sorted(s)), default=0)
+    assert lwi_ending_at(w, a) == expect
 
 
 def test_lwi_long_mixed_word():
