@@ -17,11 +17,10 @@ of ``commuting_tableaux``.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from collections import Counter
 
-from ..tableau import hook_product
+from ..tableau import f_lambda
 from . import _pure
 
 if os.environ.get("PLACTIC_PURE") == "1":
@@ -57,12 +56,11 @@ def count_commuting(u, n, m):
     """Number of words w in [m]^n with P(uw) == P(wu).
 
     Membership depends on P(w) alone, and each tableau of shape lambda is
-    P(w) for f^lambda = n!/(hook product) words, so this sums f^lambda over
-    commuting_tableaux(u, n, m), one hook product per shape.
+    P(w) for f^lambda words, so this sums f^lambda over
+    commuting_tableaux(u, n, m), computed once per shape.
     """
     shapes = Counter(tuple(map(len, rows)) for rows in commuting_tableaux(u, n, m))
-    words = math.factorial(n)
-    return sum(count * (words // hook_product(shape)) for shape, count in shapes.items())
+    return sum(count * f_lambda(shape) for shape, count in shapes.items())
 
 
 def commuting_words(u, n, m):

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+from ..tableau import iter_partitions
+
 BACKEND = "pure"
 
 
@@ -53,32 +55,6 @@ def commutes(u, w):
     return insert_rows(insertion_rows(u), w) == insert_rows(insertion_rows(w), u)
 
 
-def _shapes(n, rows):
-    """The partitions of n with at most ``rows`` parts, in the order of
-    enumeration.iter_partitions (reverse lexicographic)."""
-    if n == 0:
-        yield ()
-        return
-    if rows < 1:
-        return
-    lam = [n]
-    while True:
-        yield tuple(lam)
-        # Lower the rightmost part that can drop by one while the parts
-        # after it, no larger, still hold the rest within the row cap;
-        # fill them greedily.
-        rest = 0
-        for i in range(len(lam) - 1, -1, -1):
-            rest += lam[i]
-            part = lam[i] - 1
-            if part and rest - part <= part * (rows - i - 1):
-                full, tail = divmod(rest - part, part)
-                lam[i:] = [part] * (full + 1) + ([tail] if tail else [])
-                break
-        else:
-            return
-
-
 def _push(rows, a):
     """Insert a into a tableau of row lists in place; return the index of
     the row that grew."""
@@ -110,7 +86,7 @@ def commuting_tableaux(u, n, m):
     with P(w) = T commute with u, as tuples of row tuples.
 
     A word w is in C(u) iff T <- u == P(u) <- rowword(T) for T = P(w).
-    Shapes come in the order of enumeration.iter_partitions and, within a
+    Shapes come in the order of tableau.iter_partitions and, within a
     shape, the row words in lexicographic order.  Each shape is filled by
     backtracking in row-word order, bottom row first and left to right,
     while one tableau P(u) <- (the row word so far) is kept up to date:
@@ -125,7 +101,7 @@ def commuting_tableaux(u, n, m):
     u = tuple(u)
     state = [list(row) for row in insertion_rows(u)]
     found = []
-    for shape in _shapes(n, m):
+    for shape in iter_partitions(n, m):
         # Fill t in row-word order: bottom row first, left to right; row is
         # t[i] and under is the row below it.  grew holds, per filled cell,
         # the row of state its insertion grew.

@@ -140,8 +140,9 @@ def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
 
 def centralizer_tableaux(u: Iterable[int], n: int, m: int, budget=None) -> list:
     """The insertion tableaux P(w) of the w in [m]^n with P(uw) == P(wu):
-    shapes as iter_partitions lists them, then row words in lexicographic
-    order.  Each T stands for the f^shape(T) words of its Knuth class.
+    shapes as tableau.iter_partitions lists them, then row words in
+    lexicographic order.  Each T stands for the f^shape(T) words of its
+    Knuth class.
 
     Raises BudgetExceeded when m^n is over the word budget.
     """

@@ -8,9 +8,7 @@ Two independent routes are provided:
   where g_m counts the insertion tableaux allowed by a family's
   characterization and f is the standard tableau count.  The tableaux with
   entries above the constrained first rows are counted by the hook-content
-  formula, one product per shape.  The paper's proof counts them through
-  cell posets and order polynomials; ``linear_extensions``,
-  ``descent_poly`` and ``order_poly_count`` keep that route as oracles.
+  formula, one product per shape.
 """
 
 from __future__ import annotations
@@ -20,14 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .centralizer import require_budget
-from .errors import (
-    BoundExceededError,
-    UnsupportedFamilyError,
-    ValidationFailedError,
-)
-from .tableau import Tableau, Word, hook_product, is_partition, word
-
-DEFAULT_EXTENSION_BOUND = 10
+from .errors import UnsupportedFamilyError, ValidationFailedError
+from .tableau import Tableau, f_lambda, hook_product, is_partition, iter_partitions, word
 
 
 def binom(a: int, b: int) -> int:
@@ -37,23 +29,6 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def iter_partitions(n: int) -> Iterator[tuple]:
-    """Partitions of n as weakly decreasing tuples."""
-    if n == 0:
-        yield ()
-        return
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
-
-
 def _partition_count(n: int) -> int:
     """p(n), the number of partitions of n >= 0, without listing them."""
     p = [1] + [0] * n
@@ -61,140 +36,6 @@ def _partition_count(n: int) -> int:
         for total in range(part, n + 1):
             p[total] += p[total - part]
     return p[n]
-
-
-def f_lambda(shape: Iterable[int]) -> int:
-    """Number of standard tableaux of the given shape (hook lengths)."""
-    shape = tuple(shape)
-    q, r = divmod(math.factorial(sum(shape)), hook_product(shape))
-    assert r == 0
-    return q
-
-
-@dataclass(frozen=True)
-class LabeledPoset:
-    """A partial order on labels 1..size given by covering pairs (x, y), x below y."""
-
-    size: int
-    covers: frozenset
-
-    def __post_init__(self):
-        for x, y in self.covers:
-            if not (1 <= x <= self.size and 1 <= y <= self.size) or x == y:
-                raise ValueError(f"bad cover ({x}, {y})")
-        # cycle check by Kahn's algorithm
-        preds = self.predecessors()
-        indeg = {v: len(preds[v]) for v in range(1, self.size + 1)}
-        ready = [v for v, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            v = ready.pop()
-            seen += 1
-            for x, y in self.covers:
-                if x == v:
-                    indeg[y] -= 1
-                    if indeg[y] == 0:
-                        ready.append(y)
-        if seen != self.size:
-            raise ValueError("cover relation has a cycle")
-
-    def predecessors(self) -> dict:
-        preds = {v: set() for v in range(1, self.size + 1)}
-        for x, y in self.covers:
-            preds[y].add(x)
-        return preds
-
-
-def shape_poset(shape: Iterable[int]) -> LabeledPoset:
-    """The cell poset of a partition shape, ordered reverse component-wise
-    ((i,j) below (i',j') when i >= i' and j >= j') and labeled row by row,
-    right to left, starting with 1 in the first row."""
-    shape = tuple(shape)
-    if not is_partition(shape):
-        raise ValueError(f"{shape} is not a partition")
-    label = {}
-    k = 0
-    for i, row_len in enumerate(shape):
-        for j in range(row_len - 1, -1, -1):
-            k += 1
-            label[(i, j)] = k
-    covers = set()
-    for i, row_len in enumerate(shape):
-        for j in range(row_len):
-            if j >= 1:
-                covers.add((label[(i, j)], label[(i, j - 1)]))
-            if i >= 1:
-                covers.add((label[(i, j)], label[(i - 1, j)]))
-    return LabeledPoset(sum(shape), frozenset(covers))
-
-
-def linear_extensions(poset: LabeledPoset, bound: int = DEFAULT_EXTENSION_BOUND) -> list:
-    """All linear extensions as permutations of 1..size, lexicographic."""
-    if poset.size > bound:
-        raise BoundExceededError(f"poset size {poset.size} exceeds the bound {bound}")
-    preds = poset.predecessors()
-    out = []
-    placed: set = set()
-    prefix: list = []
-
-    def rec():
-        if len(prefix) == poset.size:
-            out.append(tuple(prefix))
-            return
-        for v in range(1, poset.size + 1):
-            if v in placed or not preds[v] <= placed:
-                continue
-            placed.add(v)
-            prefix.append(v)
-            rec()
-            prefix.pop()
-            placed.remove(v)
-
-    rec()
-    return out
-
-
-def descents(pi: tuple) -> int:
-    return sum(1 for i in range(len(pi) - 1) if pi[i] > pi[i + 1])
-
-
-@dataclass(frozen=True)
-class DescentPoly:
-    """coefficients[j] = number of linear extensions with j descents."""
-
-    coefficients: tuple
-
-    def __str__(self):
-        terms = []
-        for j, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                x = "x" if j == 1 else f"x^{j}"
-                terms.append(x if c == 1 else f"{c}*{x}")
-        return " + ".join(terms) if terms else "0"
-
-
-def descent_poly(poset: LabeledPoset, bound: int = DEFAULT_EXTENSION_BOUND) -> DescentPoly:
-    exts = linear_extensions(poset, bound)
-    coeffs = [0] * max(1, poset.size)
-    for pi in exts:
-        coeffs[descents(pi)] += 1
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return DescentPoly(tuple(coeffs))
-
-
-def order_poly_count(poset: LabeledPoset, m: int, bound: int = DEFAULT_EXTENSION_BOUND) -> int:
-    """Number of order-reversing maps f from the poset into {0, ..., m}
-    that drop strictly across label descents (x below y with x > y forces
-    f(x) > f(y)): the sum of C(m + n - des, n) over linear extensions."""
-    if poset.size == 0:
-        return 1
-    n = poset.size
-    return sum(binom(m + n - descents(pi), n) for pi in linear_extensions(poset, bound))
 
 
 def ssyt_count(shape: Iterable[int], max_entry: int) -> int:
@@ -219,7 +60,7 @@ def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
 
     def rec(i, j):
         if i == len(shape):
-            yield Tableau(tuple(tuple(r) for r in rows), validate=False)
+            yield Tableau._unchecked(tuple(tuple(r) for r in rows))
             return
         ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
         lo = 1

@@ -25,6 +25,10 @@ class BadShapeError(TableauError):
     pass
 
 
+class TableauParseError(TableauError):
+    """Text that is not a tableau: an unbracketed row or a non-integer entry."""
+
+
 class WordParseError(PlacticError, ValueError):
     """Text that is not a word: an empty, non-integer or non-positive letter."""
 

@@ -19,10 +19,10 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .centralizer import centralizer_tableaux, default_budget, in_centralizer, require_budget
-from .enumeration import expand_binomial, f_lambda
+from .enumeration import expand_binomial
 from .involutions import rc_m, tau_m
 from .rsk import knuth_class, p_tableau
-from .tableau import Word, format_word, word
+from .tableau import Word, f_lambda, format_word, word
 
 VERDICT_HOLDS = "holds"
 VERDICT_COUNTEREXAMPLE = "counterexample"

@@ -118,15 +118,16 @@ def jdt_slide(skew: SkewTableau, hole: tuple) -> SkewTableau:
 def _pick_corner(corners, policy):
     if policy == "column":
         return max(corners, key=lambda c: (c[1], c[0]))
-    if policy == "row":
-        return min(corners)
-    raise ValueError(f"unknown policy {policy!r}: expected one of {POLICIES}")
+    return min(corners)
 
 
 def _slide_out(skew: SkewTableau, policy: str):
     """Slide every blank out of ``skew``, one corner per step of ``policy``,
     on one mutable grid; yield (grid, outer, inner) before the first step
-    and after each.  The yielded lists are live, not copies."""
+    and after each.  The yielded lists are live, not copies.  An unknown
+    policy raises ValueError before the first yield, blanks or not."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}: expected one of {POLICIES}")
     inner = _inner_profile(skew)
     outer = list(skew.outer)
     grid = _grid(skew, inner)

@@ -18,6 +18,7 @@ from .errors import (
     BadShapeError,
     ColumnNotStrictlyIncreasingError,
     RowNotWeaklyIncreasingError,
+    TableauParseError,
     WordParseError,
 )
 
@@ -78,17 +79,46 @@ def hook_product(shape: tuple) -> int:
     return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
 
 
+def f_lambda(shape: Iterable[int]) -> int:
+    """Number of standard tableaux of the given shape (hook lengths)."""
+    shape = tuple(shape)
+    q, r = divmod(math.factorial(sum(shape)), hook_product(shape))
+    assert r == 0
+    return q
+
+
+def iter_partitions(n: int, max_parts: int | None = None) -> Iterator[tuple]:
+    """Partitions of n as weakly decreasing tuples, in reverse lexicographic
+    order; with ``max_parts``, only those with at most that many parts."""
+    if n == 0:
+        yield ()
+    if n <= 0 or (max_parts is not None and max_parts < 1):
+        return
+    rows = n if max_parts is None else max_parts
+    lam = [n]
+    while True:
+        yield tuple(lam)
+        # Lower the rightmost part that can drop by one while the parts
+        # after it, no larger, still hold the rest within the row cap;
+        # fill them greedily.
+        rest = 0
+        for i in range(len(lam) - 1, -1, -1):
+            rest += lam[i]
+            part = lam[i] - 1
+            if part and rest - part <= part * (rows - i - 1):
+                full, tail = divmod(rest - part, part)
+                lam[i:] = [part] * (full + 1) + ([tail] if tail else [])
+                break
+        else:
+            return
+
+
 def trim_zeros(comp: Iterable[int]) -> tuple:
     comp = tuple(comp)
     end = len(comp)
     while end and comp[end - 1] == 0:
         end -= 1
     return comp[:end]
-
-
-def compositions_equal(a: Iterable[int], b: Iterable[int]) -> bool:
-    """Equality of weak compositions, trailing zeros ignored."""
-    return trim_zeros(a) == trim_zeros(b)
 
 
 def dominates(a: Iterable[int], b: Iterable[int]) -> bool:
@@ -146,10 +176,9 @@ class Tableau:
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Iterable[Iterable[int]] = (), *, validate: bool = True):
+    def __init__(self, rows: Iterable[Iterable[int]] = ()):
         rows = tuple(tuple(r) for r in rows)
-        if validate:
-            _check_rows(rows)
+        _check_rows(rows)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -226,15 +255,26 @@ def format_tableau(t: Tableau) -> str:
 
 
 def parse_tableau(text: str) -> Tableau:
+    """Parse the form of format_tableau, blank lines ignored.
+
+    Raises TableauParseError, a TableauError, naming the row (and the cell)
+    it cannot read; the parsed rows are then validated as a Tableau.
+    """
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
     rows = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for i, line in enumerate(lines, 1):
         if not (line.startswith("[") and line.endswith("]")):
-            raise ValueError(f"cannot parse tableau row {line!r}")
+            raise TableauParseError(f"row {i} is {line!r}, not a bracketed row like [1,2]")
         body = line[1:-1].strip()
-        rows.append(tuple(int(p) for p in body.split(",")) if body else ())
+        row = []
+        for j, part in enumerate(body.split(",") if body else (), 1):
+            try:
+                row.append(int(part))
+            except ValueError:
+                raise TableauParseError(
+                    f"entry {part!r} of row {i} is not an integer", cell=(i, j)
+                ) from None
+        rows.append(tuple(row))
     return Tableau(rows)
 
 
@@ -252,14 +292,11 @@ class SkewTableau:
         outer: Iterable[int] = (),
         inner: Iterable[int] = (),
         rows: Iterable[Iterable[int]] = (),
-        *,
-        validate: bool = True,
     ):
         outer = tuple(outer)
         inner = trim_zeros(inner)
         rows = tuple(tuple(r) for r in rows)
-        if validate:
-            self._check(outer, inner, rows)
+        self._check(outer, inner, rows)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)

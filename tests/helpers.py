@@ -2,7 +2,7 @@
 
 Everything here is deliberately written from the definitions, sharing no
 code with the library: straight-line insertion without binary search,
-brute-force subsequence scans, and exhaustive map enumeration.  The sweep
+brute-force subsequence scans, and exhaustive filling enumeration.  The sweep
 references replay, word by word, what the conjecture sweeps compute by
 member tableau.
 """
@@ -107,28 +107,6 @@ def syt_count_oracle(shape):
         return total
 
     return rec((0,) * len(shape))
-
-
-def p_partition_maps_oracle(poset, m):
-    """Count f: labels -> {0..m} that weakly decrease along the order and
-    strictly decrease across covers where the lower label is larger."""
-    n = poset.size
-    if n == 0:
-        return 1
-    count = 0
-    for values in itertools.product(range(m + 1), repeat=n):
-        ok = True
-        for x, y in poset.covers:
-            # x below y in the poset
-            if values[x - 1] < values[y - 1]:
-                ok = False
-                break
-            if x > y and values[x - 1] <= values[y - 1]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def ssyt_fillings_oracle(shape, max_entry):

@@ -41,8 +41,9 @@ from plactic import test_single_letter_cols as single_letter_cols
 from plactic import test_single_letter_rows as single_letter_rows
 from plactic import test_staircase as staircase_test
 from plactic.cli import cli_dispatch
-from plactic.enumeration import binom, iter_partitions, iter_ssyt
+from plactic.enumeration import binom, iter_ssyt
 from plactic.harness import _u_range
+from plactic.tableau import iter_partitions
 
 from helpers import words_over
 

@@ -1,44 +1,24 @@
-import itertools
-
 import pytest
 
 from plactic import (
     BinomialPoly,
-    BoundExceededError,
     BudgetExceededError,
-    LabeledPoset,
     UnsupportedFamilyError,
     ValidationFailedError,
     count_by_shapes,
     count_centralizer_words as count_centralizer,
-    descent_poly,
     expand_binomial,
     f_lambda,
     family_of_word,
-    linear_extensions,
-    order_poly_count,
-    shape_poset,
     single,
     ssyt_count,
     staircase,
     word12,
 )
-from plactic.enumeration import (
-    DescentPoly,
-    _fit_binomial,
-    _partition_count,
-    binom,
-    descents,
-    iter_partitions,
-    iter_ssyt,
-)
+from plactic.enumeration import _fit_binomial, _partition_count, binom, iter_ssyt
+from plactic.tableau import is_partition, iter_partitions
 
-from helpers import (
-    hook_product,
-    p_partition_maps_oracle,
-    ssyt_fillings_oracle,
-    syt_count_oracle,
-)
+from helpers import hook_product, ssyt_fillings_oracle, syt_count_oracle
 
 
 def test_binom_guards():
@@ -52,6 +32,22 @@ def test_iter_partitions():
     assert list(iter_partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(iter_partitions(0)) == [()]
     assert len(list(iter_partitions(8))) == 22
+    assert list(iter_partitions(-1)) == []
+    assert list(iter_partitions(0, 0)) == [()]
+    assert list(iter_partitions(3, 0)) == []
+
+
+def test_iter_partitions_row_cap_filters_the_full_listing():
+    """Each listing is every partition of n once, in strictly decreasing
+    lexicographic order, and the capped listing is the full one filtered
+    to at most k parts, for n <= 15."""
+    for n in range(0, 16):
+        full = list(iter_partitions(n))
+        assert all(is_partition(lam) and sum(lam) == n for lam in full)
+        assert full == sorted(set(full), reverse=True)
+        assert len(full) == _partition_count(n)
+        for k in range(0, n + 2):
+            assert list(iter_partitions(n, k)) == [lam for lam in full if len(lam) <= k], (n, k)
 
 
 def test_f_lambda_examples():
@@ -67,100 +63,6 @@ def test_f_lambda_matches_exhaustive_generation():
             assert f_lambda(lam) == syt_count_oracle(lam), lam
 
 
-def test_labeled_poset_validation():
-    LabeledPoset(2, frozenset({(1, 2)}))
-    with pytest.raises(ValueError):
-        LabeledPoset(2, frozenset({(1, 2), (2, 1)}))
-    with pytest.raises(ValueError):
-        LabeledPoset(1, frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        LabeledPoset(1, frozenset({(1, 5)}))
-
-
-def test_shape_poset_hook():
-    p = shape_poset((2, 1))
-    assert p.size == 3
-    # 2 sits on top, covering both 1 and 3
-    assert p.covers == {(1, 2), (3, 2)}
-
-
-def test_shape_poset_row_is_a_chain():
-    p = shape_poset((3,))
-    assert p.covers == {(1, 2), (2, 3)}
-    assert linear_extensions(p) == [(1, 2, 3)]
-    assert shape_poset((1,)).covers == frozenset()
-
-
-def test_linear_extensions_examples():
-    assert sorted(linear_extensions(shape_poset((2, 1)))) == [(1, 3, 2), (3, 1, 2)]
-    antichain = LabeledPoset(3, frozenset())
-    assert len(linear_extensions(antichain)) == 6
-    assert linear_extensions(LabeledPoset(0, frozenset())) == [()]
-
-
-def test_linear_extensions_bound():
-    with pytest.raises(BoundExceededError):
-        linear_extensions(shape_poset((11,)))
-    with pytest.raises(BoundExceededError):
-        linear_extensions(shape_poset((3,)), bound=2)
-    assert linear_extensions(shape_poset((3,)), bound=3) == [(1, 2, 3)]
-
-
-def test_linear_extensions_respect_the_order():
-    for lam in [(2, 2), (3, 1), (2, 1, 1), (4,)]:
-        p = shape_poset(lam)
-        for pi in linear_extensions(p):
-            pos = {v: i for i, v in enumerate(pi)}
-            for x, y in p.covers:
-                assert pos[x] < pos[y]
-
-
-def test_descents():
-    assert descents((1, 2, 3)) == 0
-    assert descents((3, 1, 2)) == 1
-    assert descents((3, 2, 1)) == 2
-    assert descents(()) == 0
-
-
-def test_descent_poly_examples():
-    assert descent_poly(shape_poset((2, 1))).coefficients == (0, 2)
-    assert str(descent_poly(shape_poset((2, 1)))) == "2*x"
-    assert descent_poly(shape_poset((3,))).coefficients == (1,)
-    two_antichain = LabeledPoset(2, frozenset())
-    assert descent_poly(two_antichain).coefficients == (1, 1)
-    assert str(descent_poly(two_antichain)) == "1 + x"
-
-
-def test_descent_poly_coefficients_sum_to_extension_count():
-    for lam in [(2, 2), (3, 1, 1), (2, 1)]:
-        p = shape_poset(lam)
-        assert sum(descent_poly(p).coefficients) == len(linear_extensions(p))
-
-
-def test_order_poly_examples():
-    hook = shape_poset((2, 1))
-    for m in range(0, 6):
-        assert order_poly_count(hook, m) == 2 * binom(m + 2, 3)
-    assert order_poly_count(hook, 1) == 2
-    one = shape_poset((1,))
-    for m in range(0, 5):
-        assert order_poly_count(one, m) == m + 1
-    chain2 = LabeledPoset(2, frozenset({(1, 2)}))
-    assert order_poly_count(chain2, 1) == 3
-    assert order_poly_count(LabeledPoset(0, frozenset()), 3) == 1
-
-
-def test_order_poly_matches_direct_map_enumeration():
-    """The descent-sum formula counts exactly the order-reversing maps into
-    {0..m} that drop strictly across label descents, for every shape poset
-    with at most 5 cells and m <= 3."""
-    for n in range(0, 6):
-        for lam in iter_partitions(n):
-            p = shape_poset(lam)
-            for m in range(0, 4):
-                assert order_poly_count(p, m) == p_partition_maps_oracle(p, m), (lam, m)
-
-
 def test_ssyt_count_edges():
     assert ssyt_count((), 0) == 1
     assert ssyt_count((), 3) == 1
@@ -170,22 +72,16 @@ def test_ssyt_count_edges():
 
 
 def test_ssyt_count_matches_generation_and_oracle():
-    for n in range(0, 6):
-        for lam in iter_partitions(n):
-            for q in range(0, 5):
-                got = ssyt_count(lam, q)
-                assert got == len(list(iter_ssyt(lam, q)))
-                assert got == len(ssyt_fillings_oracle(lam, q))
-
-
-def test_ssyt_count_is_order_poly_shifted():
-    """The hook-content product agrees with the linear-extension route of
-    the paper's proof on every shape of at most 8 cells, entries <= 6."""
+    """The hook-content product counts what iter_ssyt lists on every shape
+    of at most 8 cells with entries <= 6, and what raw fillings give on
+    shapes of at most 5 cells with entries <= 4."""
     for n in range(0, 9):
         for lam in iter_partitions(n):
-            p = shape_poset(lam)
             for q in range(0, 7):
-                assert ssyt_count(lam, q) == order_poly_count(p, q - 1), (lam, q)
+                got = ssyt_count(lam, q)
+                assert got == len(list(iter_ssyt(lam, q))), (lam, q)
+                if n < 6 and q < 5:
+                    assert got == len(ssyt_fillings_oracle(lam, q)), (lam, q)
 
 
 def test_iter_ssyt_yields_valid_tableaux():

@@ -16,7 +16,7 @@ from plactic import (
     rc_m,
 )
 from plactic.centralizer import require_budget
-from plactic.enumeration import iter_partitions, iter_ssyt
+from plactic.enumeration import iter_ssyt
 from plactic.harness import (
     _coefficient_failures,
     _u_range,
@@ -25,6 +25,7 @@ from plactic.harness import (
     rc_pairs,
     words_up_to,
 )
+from plactic.tableau import iter_partitions
 
 from helpers import commutes_oracle, p_oracle, per_word_counterexamples, per_word_stability
 

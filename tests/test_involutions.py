@@ -14,7 +14,8 @@ from plactic import (
     split_at,
     tau_m,
 )
-from plactic.enumeration import iter_partitions, iter_ssyt
+from plactic.enumeration import iter_ssyt
+from plactic.tableau import iter_partitions
 
 from helpers import words_over
 

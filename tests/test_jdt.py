@@ -16,8 +16,9 @@ from plactic import (
     rectify_steps,
     southwest_concat,
 )
-from plactic.enumeration import iter_partitions, iter_ssyt
+from plactic.enumeration import iter_ssyt
 from plactic.jdt import POLICIES
+from plactic.tableau import iter_partitions
 
 
 def small_tableaux(max_cells, max_entry):
@@ -164,6 +165,16 @@ def test_rectify_rejects_unknown_policy():
     s = SkewTableau((2, 1), (1,), ((2,), (1,)))
     with pytest.raises(ValueError):
         rectify(s, policy="diagonal")
+
+
+def test_unknown_policy_rejected_with_nothing_to_slide():
+    straight = SkewTableau((1,), (), ((1,),))
+    with pytest.raises(ValueError, match="bogus"):
+        rectify(straight, policy="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        rectify_steps(straight, policy="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        p_via_jdt((), (2, 1), policy="bogus")
 
 
 def test_p_via_jdt_examples():

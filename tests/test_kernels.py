@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from plactic._kernels import _pure
-from plactic.enumeration import iter_partitions, iter_ssyt
+from plactic.enumeration import iter_ssyt
+from plactic.tableau import iter_partitions
 
 from helpers import centralizer_oracle, commutes_oracle, insert_oracle, p_oracle, syt_count_oracle, words_over
 

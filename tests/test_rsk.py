@@ -17,8 +17,9 @@ from plactic import (
     row_insert,
     rsk_pair,
 )
-from plactic.enumeration import iter_partitions, iter_ssyt
+from plactic.enumeration import iter_ssyt
 from plactic.rsk import knuth_class
+from plactic.tableau import iter_partitions
 
 from helpers import lwi_oracle, p_oracle, syt_count_oracle, words_over
 

@@ -6,8 +6,11 @@ from plactic import (
     BadShapeError,
     ColumnNotStrictlyIncreasingError,
     RowNotWeaklyIncreasingError,
+    PlacticError,
     SkewTableau,
     Tableau,
+    TableauError,
+    TableauParseError,
     WordParseError,
     dominates,
     format_tableau,
@@ -123,6 +126,20 @@ def test_parse_format_tableau_roundtrip():
     t = Tableau(SAMPLE)
     assert parse_tableau(format_tableau(t)) == t
     assert format_tableau(Tableau(((1, 2), (2,)))) == "[1,2]\n[2]"
+
+
+def test_parse_tableau_names_the_bad_row_and_cell():
+    with pytest.raises(TableauParseError, match="row 1") as exc:
+        parse_tableau("[1,a]")
+    assert exc.value.cell == (1, 2)
+    with pytest.raises(TableauParseError, match="row 2") as exc:
+        parse_tableau("[1,2]\n\n3")
+    assert exc.value.cell is None
+    with pytest.raises(TableauParseError, match="row 1"):
+        parse_tableau("1,2")
+    assert issubclass(TableauParseError, TableauError)
+    assert issubclass(TableauParseError, PlacticError)
+    assert issubclass(TableauParseError, ValueError)
 
 
 def test_dominates_examples():
