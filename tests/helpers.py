@@ -10,7 +10,7 @@ member tableau.
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import comb, prod
 
 
 def insert_oracle(rows, a):
@@ -107,6 +107,29 @@ def syt_count_oracle(shape):
         return total
 
     return rec((0,) * len(shape))
+
+
+def order_poly_oracle(shape, q):
+    """SSYT of a shape with entries <= q counted by the linear-extension
+    route: each standard tableau T (a linear extension of the cell poset)
+    adds binom(q - des(T) + n - 1, n), where i is a descent of T when i + 1
+    sits in a lower row than i."""
+    shape = tuple(shape)
+    n = sum(shape)
+    if n == 0:
+        return 1
+
+    def rec(rows, last_row, des):
+        if sum(rows) == n:
+            return comb(q - des + n - 1, n)
+        total = 0
+        for i, have in enumerate(rows):
+            if have < shape[i] and (i == 0 or rows[i - 1] > have):
+                step = 1 if last_row is not None and i > last_row else 0
+                total += rec(rows[:i] + (have + 1,) + rows[i + 1 :], i, des + step)
+        return total
+
+    return rec((0,) * len(shape), None, 0)
 
 
 def ssyt_fillings_oracle(shape, max_entry):

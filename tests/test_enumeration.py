@@ -18,7 +18,7 @@ from plactic import (
 from plactic.enumeration import _fit_binomial, _partition_count, binom, iter_ssyt
 from plactic.tableau import is_partition, iter_partitions
 
-from helpers import hook_product, ssyt_fillings_oracle, syt_count_oracle
+from helpers import hook_product, order_poly_oracle, ssyt_fillings_oracle, syt_count_oracle
 
 
 def test_binom_guards():
@@ -82,6 +82,15 @@ def test_ssyt_count_matches_generation_and_oracle():
                 assert got == len(list(iter_ssyt(lam, q))), (lam, q)
                 if n < 6 and q < 5:
                     assert got == len(ssyt_fillings_oracle(lam, q)), (lam, q)
+
+
+def test_ssyt_count_is_order_poly_shifted():
+    """The hook-content product agrees with the linear-extension route of
+    the paper's proof on every shape of at most 8 cells, entries <= 6."""
+    for n in range(0, 9):
+        for lam in iter_partitions(n):
+            for q in range(0, 7):
+                assert ssyt_count(lam, q) == order_poly_oracle(lam, q), (lam, q)
 
 
 def test_iter_ssyt_yields_valid_tableaux():
