@@ -1,10 +1,10 @@
 """Kernel backend selection, and counting and listing by member tableau.
 
-The three backend entry points are ``insertion_rows``, ``commutes`` and
+The two backend entry points are ``insertion_rows`` and
 ``commuting_tableaux``.  ``_pure`` implements them in Python.  The C
 extension ``_speedups`` (built from ``_speedups.c`` by
-``python setup.py build_ext --inplace``) implements the same three, with
-the same tableau fill and the same results.  The C module is used when it
+``python setup.py build_ext --inplace``) implements the same two, with the
+same tableau fill and the same results.  The C module is used when it
 is importable; PLACTIC_PURE=1, and no other value, forces pure Python.
 ``BACKEND`` is ``"c"`` or ``"pure"``.  The C module holds letters as C
 long long, so a call with a letter beyond that range raises OverflowError
@@ -48,7 +48,6 @@ def _retry_in_pure(name):
 
 
 insertion_rows = _retry_in_pure("insertion_rows")
-commutes = _retry_in_pure("commutes")
 commuting_tableaux = _retry_in_pure("commuting_tableaux")
 
 

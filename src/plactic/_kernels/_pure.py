@@ -1,9 +1,9 @@
 """Pure-Python insertion kernels.
 
-Reference implementation of the three kernel entry points: Schensted row
-insertion (``insertion_rows``), the commutation test P(uw) == P(wu)
-(``commutes``), and the insertion tableaux of the members of C(u) in
-[m]^n (``commuting_tableaux``).  Letters are unbounded Python ints here.
+Reference implementation of the two kernel entry points: Schensted row
+insertion (``insertion_rows``) and the insertion tableaux of the members
+of C(u) in [m]^n (``commuting_tableaux``).  Letters are unbounded Python
+ints here.
 
 The listing tests membership once per insertion tableau, not once per
 word: Knuth equivalence is a congruence, so whether w commutes with u
@@ -27,14 +27,8 @@ BACKEND = "pure"
 
 def insertion_rows(word):
     """Insertion tableau of ``word`` as a tuple of row tuples."""
-    return insert_rows((), word)
-
-
-def insert_rows(rows, letters):
-    """Insert ``letters`` in order into an existing tableau (a step of
-    ``commutes``, not a kernel entry point)."""
-    out = [list(row) for row in rows]
-    for a in letters:
+    out = []
+    for a in word:
         for row in out:
             pos = bisect_right(row, a)
             if pos == len(row):
@@ -46,13 +40,6 @@ def insert_rows(rows, letters):
     # Exact-size tuples: a tuple built from an iterator is resized, and in
     # a long scan that churn fills the interpreter's tuple free lists.
     return tuple([tuple(row) for row in out])
-
-
-def commutes(u, w):
-    """True iff P(u.w) == P(w.u)."""
-    u = tuple(u)
-    w = tuple(w)
-    return insert_rows(insertion_rows(u), w) == insert_rows(insertion_rows(w), u)
 
 
 def _push(rows, a):

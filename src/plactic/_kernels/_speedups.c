@@ -1,4 +1,4 @@
-/* Compiled insertion kernels in C99, with the three entry points and the
+/* Compiled insertion kernels in C99, with the two entry points and the
  * results of plactic._kernels._pure.  commuting_tableaux is the same
  * backtracking fill as in pure, checked against the brute-force definition
  * by the tests.  Counting and listing the words are done in
@@ -187,34 +187,6 @@ static PyObject *insertion_rows(PyObject *self, PyObject *word)
     return rows;
 }
 
-static PyObject *commutes(PyObject *self, PyObject *args)
-{
-    PyObject *uobj;
-    PyObject *wobj;
-    if (!PyArg_ParseTuple(args, "OO:commutes", &uobj, &wobj))
-        return NULL;
-    Py_ssize_t nu;
-    Py_ssize_t nw;
-    long long *u = read_word(uobj, &nu);
-    long long *w = u == NULL ? NULL : read_word(wobj, &nw);
-    Py_ssize_t *off = w == NULL ? NULL : row_offsets(nu + nw, nu + nw);
-    long long *t = off == NULL ? NULL : new_tableaux(off, nu + nw, 2);
-    PyObject *result = NULL;
-    if (t != NULL) {
-        long long *tw = t + off[nu + nw];
-        for (Py_ssize_t i = 0; i < nu + nw; i++) {
-            tab_insert(t, off, i < nu ? u[i] : w[i - nu]);
-            tab_insert(tw, off, i < nw ? w[i] : u[i - nw]);
-        }
-        result = PyBool_FromLong(tab_equal(t, tw, off));
-    }
-    PyMem_Free(t);
-    PyMem_Free(off);
-    PyMem_Free(w);
-    PyMem_Free(u);
-    return result;
-}
-
 /* The next partition after the shape of t in reverse lexicographic order
  * with at most R parts, written into t[0] (the rows) and t[1 + i] (the
  * row lengths); 0 when the shape was the last.  The rightmost part that
@@ -339,7 +311,6 @@ done:
 
 static PyMethodDef methods[] = {
     {"insertion_rows", insertion_rows, METH_O, "Insertion tableau of ``word`` as a tuple of row tuples."},
-    {"commutes", commutes, METH_VARARGS, "True iff P(u.w) == P(w.u)."},
     {"commuting_tableaux", (PyCFunction)(void (*)(void))commuting_tableaux, METH_VARARGS | METH_KEYWORDS,
      "The tableaux T with n cells and entries <= m with T <- u == P(u) <- rowword(T)."},
     {NULL, NULL, 0, NULL},

@@ -35,8 +35,11 @@ def default_budget() -> int:
 
 
 def in_centralizer(u: Iterable[int], w: Iterable[int]) -> bool:
-    """True iff P(uw) == P(wu)."""
-    return _kernels.commutes(word(u), word(w))
+    """True iff w is in C(u): uw is Knuth-equivalent to wu, that is,
+    P(uw) == P(wu)."""
+    u = word(u)
+    w = word(w)
+    return _kernels.insertion_rows(u + w) == _kernels.insertion_rows(w + u)
 
 
 def test_single_letter_rows(u: int, w: Iterable[int]) -> bool:

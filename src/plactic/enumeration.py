@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .centralizer import require_budget
-from .errors import UnsupportedFamilyError, ValidationFailedError
+from .errors import BadShapeError, UnsupportedFamilyError, ValidationFailedError
 from .tableau import Tableau, f_lambda, hook_product, is_partition, iter_partitions, word
 
 
@@ -55,7 +55,7 @@ def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
     """All semistandard tableaux of the shape with entries <= max_entry."""
     shape = tuple(shape)
     if not is_partition(shape):
-        raise ValueError(f"{shape} is not a partition")
+        raise BadShapeError(f"{shape} is not a partition")
     rows = [[0] * row_len for row_len in shape]
 
     def rec(i, j):

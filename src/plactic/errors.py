@@ -30,7 +30,8 @@ class TableauParseError(TableauError):
 
 
 class WordParseError(PlacticError, ValueError):
-    """Text that is not a word: an empty, non-integer or non-positive letter."""
+    """Text or a sequence that is not a word: an empty, non-integer or
+    non-positive letter."""
 
 
 class ShapeMismatchError(PlacticError, ValueError):

@@ -1,8 +1,8 @@
 """Jeu de taquin: southwest concatenation, slides, and rectification.
 
-Rectification is confluent (any corner order gives the same tableau); the
-default policy works columns right to left, bottom to top within a column.
-Both policies are exposed so tests can compare orders.
+Rectification is confluent (any corner order gives the same tableau);
+``rectify`` slides at the rightmost inner corner each time, column by
+column from the right.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from typing import Iterable
 from .errors import NotAnInnerCornerError
 from .rsk import p_tableau
 from .tableau import SkewTableau, Tableau, trim_zeros
-
-POLICIES = ("column", "row")
 
 
 def southwest_concat(a: Tableau, b: Tableau) -> SkewTableau:
@@ -115,25 +113,16 @@ def jdt_slide(skew: SkewTableau, hole: tuple) -> SkewTableau:
     return _from_grid(grid, outer, inner)
 
 
-def _pick_corner(corners, policy):
-    if policy == "column":
-        return max(corners, key=lambda c: (c[1], c[0]))
-    return min(corners)
-
-
-def _slide_out(skew: SkewTableau, policy: str):
-    """Slide every blank out of ``skew``, one corner per step of ``policy``,
-    on one mutable grid; yield (grid, outer, inner) before the first step
-    and after each.  The yielded lists are live, not copies.  An unknown
-    policy raises ValueError before the first yield, blanks or not."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}: expected one of {POLICIES}")
+def _slide_out(skew: SkewTableau):
+    """Slide every blank out of ``skew`` on one mutable grid, always at the
+    rightmost inner corner; yield (grid, outer, inner) before the first step
+    and after each.  The yielded lists are live, not copies."""
     inner = _inner_profile(skew)
     outer = list(skew.outer)
     grid = _grid(skew, inner)
     yield grid, outer, inner
     while corners := _mu_corners(outer, inner):
-        i, j = _pick_corner(corners, policy)
+        i, j = corners[0]  # corner columns fall from the top row down
         if _has_filled_neighbor(outer, inner, i, j):
             _slide_once(grid, outer, inner, i, j)
         else:
@@ -145,21 +134,21 @@ def _slide_out(skew: SkewTableau, policy: str):
         yield grid, outer, inner
 
 
-def rectify_steps(skew: SkewTableau, policy: str = "column") -> list:
+def rectify_steps(skew: SkewTableau) -> list:
     """All intermediate states of rectification, initial state included."""
-    steps = _slide_out(skew, policy)
+    steps = _slide_out(skew)
     next(steps)
     return [skew] + [_from_grid(*state) for state in steps]
 
 
-def rectify(skew: SkewTableau, policy: str = "column") -> Tableau:
+def rectify(skew: SkewTableau) -> Tableau:
     """Rectification: slide all blanks out, yielding a straight tableau.
     Only the final state is built (and validated)."""
-    for state in _slide_out(skew, policy):
+    for state in _slide_out(skew):
         pass
     return _from_grid(*state).to_tableau()
 
 
-def p_via_jdt(u: Iterable[int], w: Iterable[int], policy: str = "column") -> Tableau:
+def p_via_jdt(u: Iterable[int], w: Iterable[int]) -> Tableau:
     """P(u.w) computed by rectifying P(u) placed southwest of P(w)."""
-    return rectify(southwest_concat(p_tableau(u), p_tableau(w)), policy)
+    return rectify(southwest_concat(p_tableau(u), p_tableau(w)))

@@ -37,11 +37,12 @@ def knuth_equivalent(v: Iterable[int], w: Iterable[int]) -> bool:
     return _kernels.insertion_rows(word(v)) == _kernels.insertion_rows(word(w))
 
 
-def knuth_class(w: Iterable[int], bound: int = DEFAULT_CLASS_BOUND) -> frozenset:
-    """The full Knuth class of ``w`` by breadth-first closure of the moves."""
+def knuth_class(w: Iterable[int]) -> frozenset:
+    """The full Knuth class of ``w`` by breadth-first closure of the moves;
+    a word longer than DEFAULT_CLASS_BOUND raises BoundExceededError."""
     w = word(w)
-    if len(w) > bound:
-        raise BoundExceededError(f"|w| = {len(w)} exceeds the class bound {bound}")
+    if len(w) > DEFAULT_CLASS_BOUND:
+        raise BoundExceededError(f"|w| = {len(w)} exceeds the class bound {DEFAULT_CLASS_BOUND}")
     seen = {w}
     frontier = [w]
     while frontier:

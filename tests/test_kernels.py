@@ -4,12 +4,13 @@ import tracemalloc
 import pytest
 
 from plactic._kernels import _pure
+from plactic.centralizer import in_centralizer
 from plactic.enumeration import iter_ssyt
 from plactic.tableau import iter_partitions
 
 from helpers import centralizer_oracle, commutes_oracle, insert_oracle, p_oracle, syt_count_oracle, words_over
 
-ENTRY_POINTS = ("insertion_rows", "commutes", "commuting_tableaux")
+ENTRY_POINTS = ("insertion_rows", "commuting_tableaux")
 BIG = 2**40  # beyond C int, inside C long long
 HUGE = 10**19  # beyond C long long
 SCAN_WORDS = ((), (1,), (2, 1), (1, 2), (2, 1, 2), (BIG, 1), (BIG, BIG))
@@ -33,10 +34,11 @@ def test_pure_insertion_matches_oracle():
         assert _pure.insertion_rows(w) == p_oracle(w)
 
 
-def test_pure_commutes_matches_oracle():
+def test_pure_commutes_matches_oracle(pure_kernels):
+    """Membership on the pure backend, with no C build, is the definition."""
     for u in words_over(3, 3):
         for w in words_over(3, 3):
-            assert _pure.commutes(u, w) == commutes_oracle(u, w)
+            assert in_centralizer(u, w) == commutes_oracle(u, w)
 
 
 def test_pop_undoes_push():
@@ -52,13 +54,6 @@ def test_pop_undoes_push():
                     assert [i for i, row in enumerate(rows) if len(row) > len(t.row(i + 1))] == [r]
                     assert _pure._pop(rows, r) == a
                     assert rows == [list(row) for row in t.rows]
-
-
-def test_insert_rows_continues_a_tableau():
-    rows = _pure.insertion_rows((2, 1))
-    assert _pure.insert_rows(rows, (2,)) == p_oracle((2, 1, 2))
-    assert _pure.insert_rows((), (3, 1)) == p_oracle((3, 1))
-    assert _pure.insert_rows(rows, ()) == rows
 
 
 def test_count_and_words_agree(pure_kernels):
@@ -139,14 +134,15 @@ def test_pure_count_memory_is_linear(pure_kernels):
     assert peak < 2**20
 
 
-def test_backends_expose_the_three_entry_points(speedups):
+def test_backends_expose_the_two_entry_points(speedups):
     from plactic import _kernels
 
     for module in (_kernels, _pure, speedups):
         for name in ENTRY_POINTS:
             assert callable(getattr(module, name)), (module, name)
-    assert not hasattr(_kernels, "insert_rows")
-    assert not hasattr(speedups, "insert_rows")
+        # membership is two insertion_rows calls in in_centralizer
+        for name in ("commutes", "insert_rows"):
+            assert not hasattr(module, name), (module, name)
     # counting and listing the words are written once, over the tableau fill
     for name in ("count_commuting", "commuting_words"):
         assert callable(getattr(_kernels, name))
@@ -162,15 +158,22 @@ def test_backends_agree_on_insertion(speedups):
         assert speedups.insertion_rows(w) == _pure.insertion_rows(w) == p_oracle(w)
 
 
-def test_backends_agree_on_commutes(speedups):
-    for u in words_over(3, 3):
-        for w in words_over(3, 3):
-            assert speedups.commutes(u, w) == _pure.commutes(u, w)
+def test_backends_agree_on_commutes(reload_kernels):
+    """in_centralizer gives the same answers on both backends, on short
+    words against the definition and on seeded 1000-1500-letter words,
+    letters up to 2^40 and u == w."""
+    short = [(u, w) for u in words_over(3, 3) for w in words_over(3, 3)]
     long = _long_words()
-    for u in long[:3] + [(BIG, 1, BIG), (1,), ()]:
-        for w in long[:1] + [(BIG,), (1, 2), ()]:
-            assert speedups.commutes(u, w) == _pure.commutes(u, w)
-        assert speedups.commutes(u, u)
+    us = long[:3] + [(BIG, 1, BIG), (1,), ()]
+    pairs = [(u, w) for u in us for w in long[:1] + [(BIG,), (1, 2), ()]]
+    want = [commutes_oracle(u, w) for u, w in short]
+    verdicts = []
+    for pure_env, backend in (("1", "pure"), (None, "c")):
+        assert reload_kernels(pure_env).BACKEND == backend
+        assert [in_centralizer(u, w) for u, w in short] == want, backend
+        assert all(in_centralizer(u, u) for u in us), backend
+        verdicts.append([in_centralizer(u, w) for u, w in pairs])
+    assert verdicts[0] == verdicts[1]
 
 
 def test_backends_agree_on_counting(reload_kernels):
@@ -264,12 +267,12 @@ def test_scans_take_u_n_m_only(speedups):
                 scan((1,), 2, 2, 0, None)
 
 
-def test_compiled_memory_is_near_linear(speedups):
+def test_compiled_memory_is_near_linear(compiled_kernels, speedups):
     """Row r of an N-cell tableau is sized N/(r+1), not N, so a 3000-letter
     strictly decreasing word (one column of 3000 rows) stays far under the
     stride^2 cells a square tableau buffer would take."""
     w = tuple(range(3000, 0, -1))
-    for call in (lambda: speedups.insertion_rows(w), lambda: speedups.commutes(w, (1,))):
+    for call in (lambda: speedups.insertion_rows(w), lambda: in_centralizer(w, (1,))):
         tracemalloc.start()
         try:
             call()
@@ -299,8 +302,8 @@ def test_huge_letters_fall_back_to_pure(compiled_kernels):
     assert _kernels.BACKEND == "c"
     w = (HUGE, 1, HUGE + 1)
     assert _kernels.insertion_rows(w) == p_oracle(w)
-    assert _kernels.commutes((HUGE,), (HUGE,))
-    assert not _kernels.commutes((HUGE, 1, HUGE), (1,))
+    assert in_centralizer((HUGE,), (HUGE,))
+    assert not in_centralizer((HUGE, 1, HUGE), (1,))
     assert _kernels.count_commuting((HUGE,), 3, 2) == len(centralizer_oracle((HUGE,), 3, 2))
     members = centralizer_oracle((HUGE, 1), 3, 2)
     assert set(_kernels.commuting_tableaux((HUGE, 1), 3, 2)) == {p_oracle(w) for w in members}
@@ -328,7 +331,6 @@ def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkey
         monkeypatch.setattr(_pure, name, counted(name))
     args = {
         "insertion_rows": lambda a: ((a, 1, a + 1),),
-        "commutes": lambda a: ((a, a), (a,)),
         "commuting_tableaux": lambda a: ((a, 1), 3, 2),
     }
     for name in ENTRY_POINTS:
@@ -340,6 +342,12 @@ def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkey
         calls.clear()
         assert getattr(_kernels, name)(*args[name](HUGE)) == pure[name](*args[name](HUGE))
         assert calls[0] == name
+    # membership retries each insertion through insertion_rows' wrapper
+    calls.clear()
+    assert in_centralizer((BIG, BIG), (BIG,)) and calls == []
+    assert in_centralizer((HUGE, HUGE), (HUGE,))
+    assert not in_centralizer((HUGE, 1, HUGE), (1,))
+    assert calls == ["insertion_rows"] * 4
     # the word listing retries through the fill's wrapper
     calls.clear()
     assert _kernels.commuting_words((HUGE, 1), 2, 2) == [(1, 1)]
