@@ -14,7 +14,7 @@ from typing import Iterable
 from . import _kernels
 from .errors import BudgetExceededError
 from .rsk import lwi, lwi_ending_at, p_tableau
-from .tableau import Tableau, Word, row_count_filter, word
+from .tableau import Tableau, row_count_filter, word
 
 DEFAULT_BUDGET = 10**8
 

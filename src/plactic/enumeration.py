@@ -9,6 +9,12 @@ Two independent routes are provided:
   characterization and f is the standard tableau count.  The tableaux with
   entries above the constrained first rows are counted by the hook-content
   formula, one product per shape.
+
+The shape sum comes in two steps.  ``_shape_terms`` lists, once per
+(family, n), each shape's m-independent factor: the head count times f,
+the tail's cell contents and the tail's hook product.  ``_sum_terms``
+evaluates that list at one m.  ``expand_binomial`` lists the terms once and
+evaluates them at every sampled m.
 """
 
 from __future__ import annotations
@@ -38,17 +44,28 @@ def _partition_count(n: int) -> int:
     return p[n]
 
 
+def _contents(shape: tuple) -> tuple:
+    """The contents j - i of the cells (i, j) of a shape, row by row."""
+    return tuple(j - i for i, row in enumerate(shape) for j in range(row))
+
+
+def _hook_content(contents: tuple, hooks: int, max_entry: int) -> int:
+    """The hook-content formula: the product of max_entry + c over the cell
+    contents c, divided by the hook product.  The empty shape has one
+    filling, and a nonempty one none when max_entry <= 0."""
+    if not contents:
+        return 1
+    if max_entry <= 0:
+        return 0
+    return math.prod(max_entry + c for c in contents) // hooks
+
+
 def ssyt_count(shape: Iterable[int], max_entry: int) -> int:
     """Number of semistandard tableaux of the shape with entries <= max_entry,
     by the hook-content formula: the product of max_entry + j - i over the
     cells (i, j), divided by the product of the hook lengths."""
     shape = tuple(shape)
-    if not shape:
-        return 1
-    if max_entry <= 0:
-        return 0
-    hooks = hook_product(shape)
-    return math.prod(max_entry + j - i for i, row in enumerate(shape) for j in range(row)) // hooks
+    return _hook_content(_contents(shape), hook_product(shape), max_entry)
 
 
 def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
@@ -130,13 +147,13 @@ def family_of_word(u: Iterable[int]) -> Family:
     raise UnsupportedFamilyError(f"no closed-form counting rule wired up for u = {u}")
 
 
-def _word12_head(l1: int, l2: int, max_entry: int) -> int:
-    """Fillings of the two-row shape (l1, l2) allowed in the first two rows
-    of an insertion tableau of a C(12) word: columns of height 2 contain
-    both letters, singleton cells are 1s or 2s with both kinds present
-    whenever any singleton exists."""
+def _word12_head(l1: int, l2: int, cap: int) -> int:
+    """Fillings of the two-row shape (l1, l2) with entries <= cap <= 2
+    allowed in the first two rows of an insertion tableau of a C(12) word:
+    columns of height 2 contain both letters, singleton cells are 1s or 2s
+    with both kinds present whenever any singleton exists."""
     count = 0
-    for t in iter_ssyt((l1, l2) if l2 else ((l1,) if l1 else ()), min(2, max_entry)):
+    for t in iter_ssyt((l1, l2) if l2 else ((l1,) if l1 else ()), cap):
         cols = t.columns()
         singles = [col[0] for col in cols if len(col) == 1]
         if singles and (1 not in singles or 2 not in singles):
@@ -146,6 +163,35 @@ def _word12_head(l1: int, l2: int, max_entry: int) -> int:
     return count
 
 
+def _shape_terms(family: Family, n: int, cap: int) -> list:
+    """The m-independent factors of the shape sum for partitions of n.
+
+    One (weight, tail contents, tail hook product) per partition whose
+    first r rows have a nonzero count under the family's characterization
+    with entries <= cap = min(r, m); weight is that count times f(shape).
+    """
+    r = family.constrained_rows
+    terms = []
+    for lam in iter_partitions(n):
+        if family.kind == "single":
+            head = 1
+        elif family.kind == "staircase":
+            head = ssyt_count(lam[:r], cap)
+        else:  # word12
+            head = _word12_head(lam[0] if lam else 0, lam[1] if len(lam) > 1 else 0, cap)
+        if head:
+            tail = lam[r:]
+            terms.append((head * f_lambda(lam), _contents(tail), hook_product(tail)))
+    return terms
+
+
+def _sum_terms(terms: list, max_entry: int) -> int:
+    """The shape sum at one m, from ``_shape_terms``: each weight times the
+    number of tails filled with entries r+1..m, i.e. max_entry = m - r."""
+    return sum(weight * _hook_content(contents, hooks, max_entry)
+               for weight, contents, hooks in terms)
+
+
 def count_by_shapes(family: Family, n: int, m: int) -> int:
     """c_{n,m}(u) for a supported family, summed over insertion-tableau shapes.
 
@@ -153,6 +199,7 @@ def count_by_shapes(family: Family, n: int, m: int) -> int:
     family's characterization (capped at min(r, m) since entries never
     exceed m) and the remaining rows, which are forced above r, contribute
     a shifted semistandard count.  Multiplying by f(shape) counts words.
+    The terms are listed at cap min(r, m) and evaluated at m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -162,25 +209,7 @@ def count_by_shapes(family: Family, n: int, m: int) -> int:
     if family.kind == "single" and family.param > m:
         # no word over [m] contains the letter, so only the empty word commutes
         return 1 if n == 0 else 0
-    total = 0
-    for lam in iter_partitions(n):
-        head_shape = lam[:r]
-        tail_shape = lam[r:]
-        if family.kind == "single":
-            head = 1
-        elif family.kind == "staircase":
-            head = ssyt_count(head_shape, min(r, m))
-        else:  # word12
-            l1 = lam[0] if lam else 0
-            l2 = lam[1] if len(lam) > 1 else 0
-            head = _word12_head(l1, l2, m)
-        if head == 0:
-            continue
-        tail = ssyt_count(tail_shape, m - r)  # entries in {r+1, ..., m}
-        if tail == 0:
-            continue
-        total += head * tail * f_lambda(lam)
-    return total
+    return _sum_terms(_shape_terms(family, n, min(r, m)), m - r)
 
 
 @dataclass(frozen=True)
@@ -232,9 +261,11 @@ def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     Counts are sampled at the d+1 points m0, ..., m0+d through the shape
     sum, where m0 = max(n, family letter bound): below that the count can
     sit off the polynomial.  One extra sample validates the fit and raises
-    ValidationFailed on mismatch.  The d+2 shape sums add (d+2) * p(n)
-    shape terms; BudgetExceeded is raised up front when that is over the
-    word budget (None means default_budget()).
+    ValidationFailed on mismatch.  The shape terms are listed once (m0 >= r
+    caps the head at r) and evaluated at each of the d+2 points, so
+    (d+2) * p(n) shape terms are evaluated; BudgetExceeded is raised up
+    front, before any shape is listed, when that is over the word budget
+    (None means default_budget()).
     """
     u = word(u)
     family = family_of_word(u)
@@ -244,7 +275,8 @@ def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     d = n - r
     require_budget((d + 2) * _partition_count(n), budget, f"shape terms in expanding c_{{{n},m}}")
     m0 = max(n, max(u))
-    values = [count_by_shapes(family, n, m) for m in range(m0, m0 + d + 2)]
+    terms = _shape_terms(family, n, r)
+    values = [_sum_terms(terms, m - r) for m in range(m0, m0 + d + 2)]
     poly = _fit_binomial(m0, values[:-1])
     check_m = m0 + d + 1
     if poly(check_m) != values[-1]:

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from . import _kernels
 from .errors import BoundExceededError
-from .tableau import Word, word
+from .tableau import word
 
 DEFAULT_CLASS_BOUND = 10
 

@@ -37,14 +37,18 @@ def word(letters: Iterable[int]) -> Word:
 def parse_word(text: str) -> Word:
     """Parse '2,1,2' (canonical) or the bare digit shorthand '212'.
 
+    One trailing comma is allowed, so '12,' is the one-letter word (12,).
     Raises WordParseError, a ValueError, naming the letter it cannot read.
     """
     text = text.strip()
     if not text:
         return ()
     if "," in text:
+        parts = text.split(",")
+        if parts[-1] == "":
+            parts.pop()
         letters = []
-        for i, part in enumerate(text.split(","), 1):
+        for i, part in enumerate(parts, 1):
             try:
                 a = int(part)
             except ValueError:
@@ -61,7 +65,11 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Iterable[int]) -> str:
-    return ",".join(str(a) for a in w)
+    """The canonical form of parse_word.  A one-letter word above 9 ends in a
+    comma, as '12' would read back as the bare digits (1, 2)."""
+    w = tuple(w)
+    text = ",".join(str(a) for a in w)
+    return text + "," if len(w) == 1 and w[0] > 9 else text
 
 
 def is_partition(parts: Iterable[int]) -> bool:

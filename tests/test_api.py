@@ -1,4 +1,6 @@
+import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -62,3 +64,30 @@ def test_bad_letters_and_shapes_raise_typed_errors():
             call()
         assert isinstance(info.value, plactic.PlacticError)
         assert isinstance(info.value, ValueError)
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, by its syntax tree."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports_in_the_package():
+    """Every import of a plactic module outside the re-exporting __init__.py
+    files is used."""
+    package = pathlib.Path(plactic.__file__).parent
+    found = {
+        str(path.relative_to(package)): _unused_imports(path)
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {path: names for path, names in found.items() if names} == {}

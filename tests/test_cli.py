@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from plactic import SweepReport
 from plactic.cli import cli_dispatch
 
@@ -45,6 +43,17 @@ def test_commutes(capsys):
     code, out, _ = run(capsys, "commutes", "2", "2,1,2")
     assert code == 0
     assert out == "true\n"
+
+
+def test_commutes_one_letter_above_nine(capsys):
+    """A trailing comma writes a one-letter word above 9, and the listing
+    writes it back that way."""
+    code, out, _ = run(capsys, "commutes", "10,", "1")
+    assert (code, out) == (0, "false\n")
+    code, out, _ = run(capsys, "commutes", "10,", "10,10")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "centralizer", "10,", "--len", "1", "--max", "12")
+    assert (code, out) == (0, "10,\n")
 
 
 def test_commutes_json(capsys):

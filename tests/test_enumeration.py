@@ -67,6 +67,8 @@ def test_ssyt_count_edges():
     assert ssyt_count((), 0) == 1
     assert ssyt_count((), 3) == 1
     assert ssyt_count((2, 1), 0) == 0
+    assert ssyt_count((1,), -3) == 0
+    assert ssyt_count((2, 1), -1) == 0
     assert ssyt_count((1, 1, 1), 2) == 0
     assert ssyt_count((1,), 1) == 1
 
@@ -218,9 +220,12 @@ def test_expand_leading_coefficient_is_one():
 
 
 def test_expand_matches_counts_on_new_points():
-    poly = expand_binomial((2, 1), 4)
-    for m in range(4, 9):
-        assert poly(m) == count_centralizer((2, 1), 4, m)
+    """Each perfbench family's expansion at n = 4 equals the brute-force
+    count from m = max(n, max(u)) on, past the sampled points."""
+    for u in [(1,), (2,), (3,), (2, 1), (3, 2, 1), (1, 2)]:
+        poly = expand_binomial(u, 4)
+        for m in range(max(4, max(u)), 9):
+            assert poly(m) == count_centralizer(u, 4, m), (u, m)
 
 
 def test_expand_rejects_small_n():
@@ -233,10 +238,10 @@ def test_expand_rejects_small_n():
 def test_expand_validation_sample(monkeypatch):
     import plactic.enumeration as enumeration
 
-    def not_a_polynomial(family, n, m):
-        return 2**m
+    def not_a_polynomial(terms, max_entry):
+        return 2**max_entry
 
-    monkeypatch.setattr(enumeration, "count_by_shapes", not_a_polynomial)
+    monkeypatch.setattr(enumeration, "_sum_terms", not_a_polynomial)
     with pytest.raises(ValidationFailedError):
         enumeration.expand_binomial((1,), 3)
 
@@ -253,10 +258,10 @@ def test_expand_past_the_old_extension_bound():
 def test_expand_budget_checked_before_any_shape_sum(monkeypatch):
     import plactic.enumeration as enumeration
 
-    def no_shape_sums(family, n, m):
-        raise AssertionError("count_by_shapes ran before the budget check")
+    def no_shape_terms(family, n, cap):
+        raise AssertionError("shapes were listed before the budget check")
 
-    monkeypatch.setattr(enumeration, "count_by_shapes", no_shape_sums)
+    monkeypatch.setattr(enumeration, "_shape_terms", no_shape_terms)
     with pytest.raises(BudgetExceededError, match="shape terms"):
         enumeration.expand_binomial((1,), 100)
     # (d + 2) * p(n) = 6 * 7 shape terms for u = 1, n = 5
@@ -267,6 +272,23 @@ def test_expand_budget_checked_before_any_shape_sum(monkeypatch):
         enumeration.expand_binomial((1,), 5)
     monkeypatch.undo()
     assert expand_binomial((1,), 5, budget=42).coefficients == (0, 1, 8, 13, 1)
+
+
+def test_expand_lists_the_partitions_once(monkeypatch):
+    """One expansion lists the partitions of n once, however many m it samples."""
+    import plactic.enumeration as enumeration
+
+    listed = []
+
+    def counting(n, max_parts=None):
+        listed.append(n)
+        return iter_partitions(n, max_parts)
+
+    monkeypatch.setattr(enumeration, "iter_partitions", counting)
+    for u in [(1,), (3, 2, 1), (1, 2)]:
+        listed.clear()
+        expand_binomial(u, 7)
+        assert listed == [7], u
 
 
 def test_partition_count_matches_listing():

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from plactic import (
@@ -100,6 +98,8 @@ def test_parse_word_forms():
     assert parse_word("212") == (2, 1, 2)
     assert parse_word("") == ()
     assert parse_word("10,2") == (10, 2)
+    assert parse_word("12,") == (12,)
+    assert parse_word("1,2,") == (1, 2)
     with pytest.raises(ValueError):
         parse_word("102")  # bare digits cannot contain 0
     with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ def test_parse_word_forms():
 
 
 def test_parse_word_names_the_bad_letter():
-    for text, part in ((",", "''"), ("1,,2", "''"), ("1,x", "'x'"), ("2,1,0", "'0'"), ("3,-1", "'-1'")):
+    for text, part in ((",", "''"), ("1,,2", "''"), ("12,,", "''"), ("1,x", "'x'"), ("2,1,0", "'0'"), ("3,-1", "'-1'")):
         with pytest.raises(WordParseError, match=part) as info:
             parse_word(text)
         assert isinstance(info.value, ValueError)
@@ -118,8 +118,10 @@ def test_parse_word_names_the_bad_letter():
 
 
 def test_format_word_roundtrip():
-    for w in [(), (1,), (2, 1, 2), (10, 3, 12)]:
+    for w in [(), (1,), (2, 1, 2), (10, 3, 12), (12,), (10**19,)]:
         assert parse_word(format_word(w)) == w
+    assert format_word((12,)) == "12,"
+    assert format_word((9,)) == "9"
 
 
 def test_parse_format_tableau_roundtrip():
