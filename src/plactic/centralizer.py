@@ -12,7 +12,7 @@ import os
 from typing import Iterable
 
 from . import _kernels
-from .errors import BudgetExceededError
+from .errors import BadParameterError, BudgetExceededError
 from .rsk import lwi, lwi_ending_at, p_tableau
 from .tableau import Tableau, row_count_filter, word
 
@@ -127,7 +127,7 @@ def require_budget(total: int, budget, what: str) -> int:
 def _word_total(n: int, m: int) -> int:
     """|[m]^n|; a negative length or alphabet is a ValueError."""
     if n < 0 or m < 0:
-        raise ValueError(f"need word length and alphabet >= 0, got n = {n}, m = {m}")
+        raise BadParameterError(f"need word length and alphabet >= 0, got n = {n}, m = {m}")
     return m**n
 
 

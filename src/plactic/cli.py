@@ -33,54 +33,59 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+def _int(**options) -> dict:
+    return {"type": int, **options}
 
+
+# command -> (help, [(argument, add_argument options)]); every command also takes --json
+COMMANDS = {
+    "ptab": ("print the insertion tableau of a word",
+             [("word", {"help": "comma-separated letters, or bare digits like 212"})]),
+    "commutes": ("does w commute with u in the plactic monoid", [("u", {}), ("w", {})]),
+    "centralizer": ("list the centralizer words of a given length and alphabet",
+                    [("u", {}), ("--len", _int(required=True, help="word length n")),
+                     ("--max", _int(required=True, help="alphabet bound m"))]),
+    "count": ("count centralizer words",
+              [("u", {}), ("--len", _int(required=True)), ("--max", _int(required=True))]),
+    "expand": ("binomial-basis expansion of m -> c_{n,m}(u)",
+               [("u", {}), ("--len", _int(required=True))]),
+    "conjecture": ("run a conjecture sweep", [
+        ("which", {"choices": ("maxri", "stability", "coeffs", "rc")}),
+        ("--u", {"help": "fixed u (required for stability; optional for rc)"}),
+        ("--m", _int(help="threshold for rc (default: max of u)")),
+        ("--u-alphabet", _int(default=4)),
+        ("--u-length", _int(default=4)),
+        ("--u-sum", _int(help="keep only u with max(u) + |u| <= this bound")),
+        ("--w-alphabet", _int(default=4)),
+        ("--w-length", _int(default=4)),
+        ("--k-bound", _int(default=4)),
+        ("--shards", _int(default=1)),
+        ("--budget", _int()),
+        ("--n-max", _int(default=8, help="for coeffs")),
+    ]),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv. When argv[0] names a command only its subparser
+    is built, and the usage line still lists every command; otherwise
+    (no command, -h, an unknown command) all of them are."""
     parser = argparse.ArgumentParser(
         prog="plactic",
         description="Insertion tableaux, centralizers of the plactic monoid, "
                     "exact counts, and conjecture sweeps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ptab", parents=[common], help="print the insertion tableau of a word")
-    p.add_argument("word", help="comma-separated letters, or bare digits like 212")
-
-    p = sub.add_parser("commutes", parents=[common], help="does w commute with u in the plactic monoid")
-    p.add_argument("u")
-    p.add_argument("w")
-
-    p = sub.add_parser("centralizer", parents=[common],
-                       help="list the centralizer words of a given length and alphabet")
-    p.add_argument("u")
-    p.add_argument("--len", type=int, required=True, help="word length n")
-    p.add_argument("--max", type=int, required=True, help="alphabet bound m")
-
-    p = sub.add_parser("count", parents=[common], help="count centralizer words")
-    p.add_argument("u")
-    p.add_argument("--len", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
-
-    p = sub.add_parser("expand", parents=[common],
-                       help="binomial-basis expansion of m -> c_{n,m}(u)")
-    p.add_argument("u")
-    p.add_argument("--len", type=int, required=True)
-
-    p = sub.add_parser("conjecture", parents=[common], help="run a conjecture sweep")
-    p.add_argument("which", choices=("maxri", "stability", "coeffs", "rc"))
-    p.add_argument("--u", default=None, help="fixed u (required for stability; optional for rc)")
-    p.add_argument("--m", type=int, default=None, help="threshold for rc (default: max of u)")
-    p.add_argument("--u-alphabet", type=int, default=4)
-    p.add_argument("--u-length", type=int, default=4)
-    p.add_argument("--u-sum", type=int, default=None,
-                   help="keep only u with max(u) + |u| <= this bound")
-    p.add_argument("--w-alphabet", type=int, default=4)
-    p.add_argument("--w-length", type=int, default=4)
-    p.add_argument("--k-bound", type=int, default=4)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=8, help="for coeffs")
+    if argv and argv[0] in COMMANDS:
+        names, extra = [argv[0]], {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    else:
+        names, extra = list(COMMANDS), {}
+    sub = parser.add_subparsers(dest="command", required=True, **extra)
+    for name in names:
+        help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -109,40 +114,35 @@ def _report_exit(report: SweepReport) -> int:
 
 def _run_conjecture(args) -> int:
     cfg = SweepConfig(
-        conjecture=args.which,
-        u_alphabet=args.u_alphabet,
-        u_length=args.u_length,
-        u_sum_bound=args.u_sum,
-        w_alphabet=args.w_alphabet,
-        w_length=args.w_length,
-        k_bound=args.k_bound,
-        shards=args.shards,
-        budget=args.budget,
+        conjecture=args.which, u_alphabet=args.u_alphabet, u_length=args.u_length,
+        u_sum_bound=args.u_sum, w_alphabet=args.w_alphabet, w_length=args.w_length,
+        k_bound=args.k_bound, shards=args.shards, budget=args.budget,
     )
     if args.which == "maxri":
         report = check_max_ri(cfg)
-    elif args.which == "stability":
-        if args.u is None:
-            print("conjecture stability requires --u", file=sys.stderr)
-            return 2
-        report = check_stability(parse_word(args.u), cfg)
     elif args.which == "coeffs":
         report = check_coefficients(args.n_max, budget=args.budget)
-    else:
-        if args.u is not None:
-            u = parse_word(args.u)
-            m = args.m if args.m is not None else (max(u) if u else 1)
-            report = check_rc(u, m, cfg)
+    elif args.u is not None:
+        u = parse_word(args.u)
+        if args.which == "stability":
+            report = check_stability(u, cfg)
         else:
-            report = check_rc_sweep(cfg)
+            report = check_rc(u, args.m if args.m is not None else (max(u) if u else 1), cfg)
+    elif args.which == "stability":
+        print("conjecture stability requires --u", file=sys.stderr)
+        return 2
+    elif args.m is not None:
+        print("conjecture rc --m requires --u", file=sys.stderr)
+        return 2
+    else:
+        report = check_rc_sweep(cfg)
     _print_report(report, args.json)
     return _report_exit(report)
 
 
 def cli_dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .centralizer import require_budget
-from .errors import BadShapeError, UnsupportedFamilyError, ValidationFailedError
+from .errors import (
+    BadParameterError,
+    BadShapeError,
+    UnsupportedFamilyError,
+    ValidationFailedError,
+    WordParseError,
+)
 from .tableau import Tableau, f_lambda, hook_product, is_partition, iter_partitions, word
 
 
@@ -115,13 +121,13 @@ class Family:
 
 def single(a: int) -> Family:
     if a < 1:
-        raise ValueError(f"letter must be positive, got {a}")
+        raise WordParseError(f"letter must be positive, got {a}")
     return Family("single", a)
 
 
 def staircase(k: int) -> Family:
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise BadParameterError(f"k must be positive, got {k}")
     return Family("staircase", k)
 
 
@@ -202,9 +208,9 @@ def count_by_shapes(family: Family, n: int, m: int) -> int:
     The terms are listed at cap min(r, m) and evaluated at m.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise BadParameterError("n must be >= 0")
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise BadParameterError("m must be >= 0")
     r = family.constrained_rows
     if family.kind == "single" and family.param > m:
         # no word over [m] contains the letter, so only the empty word commutes
@@ -271,7 +277,7 @@ def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     family = family_of_word(u)
     r = family.constrained_rows
     if n < r:
-        raise ValueError(f"need n >= {r} for u = {u}, got n = {n}")
+        raise BadParameterError(f"need n >= {r} for u = {u}, got n = {n}")
     d = n - r
     require_budget((d + 2) * _partition_count(n), budget, f"shape terms in expanding c_{{{n},m}}")
     m0 = max(n, max(u))

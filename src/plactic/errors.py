@@ -46,6 +46,11 @@ class NotAnInnerCornerError(PlacticError, ValueError):
     pass
 
 
+class BadParameterError(PlacticError, ValueError):
+    """A numeric argument out of its range: a negative length or alphabet,
+    a non-positive bound, or a length too short for the word."""
+
+
 class BoundExceededError(PlacticError, ValueError):
     """Input exceeds the configured size bound of an exhaustive search."""
 

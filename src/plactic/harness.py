@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from .centralizer import centralizer_tableaux, default_budget, in_centralizer, require_budget
 from .enumeration import expand_binomial
+from .errors import BadParameterError, MaxEntryExceedsMError
 from .involutions import rc_m, tau_m
 from .rsk import knuth_class, p_tableau
 from .tableau import Word, f_lambda, format_word, word
@@ -53,11 +54,11 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("u_alphabet", "u_length", "w_alphabet", "w_length", "k_bound", "shards"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise BadParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.u_sum_bound is not None and self.u_sum_bound < 1:
-            raise ValueError(f"u_sum_bound must be >= 1, got {self.u_sum_bound}")
+            raise BadParameterError(f"u_sum_bound must be >= 1, got {self.u_sum_bound}")
         if self.budget is not None and self.budget <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+            raise BadParameterError(f"budget must be positive, got {self.budget}")
 
     def resolved_budget(self) -> int:
         return self.budget if self.budget is not None else default_budget()
@@ -263,7 +264,7 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
     sits at ceil(n/2)."""
     t0 = time.monotonic()
     if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+        raise BadParameterError(f"n_max must be >= 2, got {n_max}")
     total = n_max - 1
     resolved = require_budget(total, budget, "expansions")
 
@@ -300,7 +301,7 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     t0 = time.monotonic()
     u = word(u)
     if u and max(u) > m:
-        raise ValueError(f"need max(u) <= m, got max {max(u)} with m = {m}")
+        raise MaxEntryExceedsMError(f"need max(u) <= m, got max {max(u)} with m = {m}")
     u_rc = rc_m(u, m)
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
     total = 2 * n_w

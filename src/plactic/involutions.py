@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import MaxEntryExceedsMError
+from .errors import BadParameterError, MaxEntryExceedsMError, WordParseError
 from .rsk import p_tableau
 from .tableau import SkewTableau, Tableau, Word, word
 
@@ -11,7 +11,7 @@ def bender_knuth(t: Tableau, u: int) -> Tableau:
     """Swap the multiplicities of u and u+1 in each row, fixing every
     vertically paired u / u+1 and rewriting the free ones in place."""
     if u < 1:
-        raise ValueError(f"letter must be positive, got {u}")
+        raise WordParseError(f"letter must be positive, got {u}")
     rows = [list(r) for r in t.rows]
     for i, row in enumerate(rows):
         above = rows[i - 1] if i > 0 else []
@@ -39,7 +39,7 @@ def rc_m(w: Word | list, m: int) -> Word:
     leaving larger letters in place."""
     w = word(w)
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise BadParameterError(f"m must be >= 0, got {m}")
     small = [v for v in w if v <= m]
     replaced = iter(m - v + 1 for v in reversed(small))
     return tuple(next(replaced) if v <= m else v for v in w)

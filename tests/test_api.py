@@ -45,7 +45,8 @@ def test_no_test_only_options():
     assert not hasattr(plactic.jdt, "POLICIES")
 
 
-# (the error class, a call with a non-positive letter or a non-partition shape)
+# (the error class, a call with a non-positive letter, a non-partition shape
+# or a number out of its range)
 BAD_INPUTS = (
     (plactic.WordParseError, lambda: plactic.word((0,))),
     (plactic.WordParseError, lambda: plactic.count_centralizer_words((0,), 2, 2)),
@@ -54,6 +55,19 @@ BAD_INPUTS = (
     (plactic.BadShapeError, lambda: plactic.ssyt_count((1, 2), 3)),
     (plactic.BadShapeError, lambda: plactic.f_lambda((1, 2))),
     (plactic.BadShapeError, lambda: list(plactic.iter_ssyt((1, 2), 3))),
+    (plactic.WordParseError, lambda: plactic.single(0)),
+    (plactic.WordParseError, lambda: plactic.bender_knuth(plactic.Tableau(((1,),)), 0)),
+    (plactic.BadParameterError, lambda: plactic.count_centralizer_words((1,), -1, 2)),
+    (plactic.BadParameterError, lambda: plactic.staircase(0)),
+    (plactic.BadParameterError, lambda: plactic.count_by_shapes(plactic.single(1), -1, 2)),
+    (plactic.BadParameterError, lambda: plactic.count_by_shapes(plactic.single(1), 2, -1)),
+    (plactic.BadParameterError, lambda: plactic.expand_binomial((3, 2, 1), 1)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(conjecture="maxri", w_length=0)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(conjecture="maxri", u_sum_bound=0)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(conjecture="maxri", budget=0)),
+    (plactic.BadParameterError, lambda: plactic.check_coefficients(1)),
+    (plactic.MaxEntryExceedsMError, lambda: plactic.check_rc((3,), 2, plactic.SweepConfig(conjecture="rc"))),
+    (plactic.BadParameterError, lambda: plactic.rc_m((1,), -1)),
 )
 
 

@@ -1,7 +1,15 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+
+import plactic
 from plactic import SweepReport
-from plactic.cli import cli_dispatch
+from plactic.cli import COMMANDS, build_parser, cli_dispatch
 
 from helpers import centralizer_oracle
 
@@ -147,7 +155,9 @@ def test_unreadable_letter_exits_2(capsys):
 
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
-    assert run(capsys, "frobnicate")[0] == 2
+    code, _, err = run(capsys, "frobnicate")
+    assert code == 2
+    assert "plactic: error: argument command: invalid choice: 'frobnicate'" in err
     assert run(capsys, "count", "1", "--len", "4")[0] == 2
 
 
@@ -155,6 +165,13 @@ def test_conjecture_stability_requires_u(capsys):
     code, _, err = run(capsys, "conjecture", "stability")
     assert code == 2
     assert "requires --u" in err
+
+
+def test_conjecture_rc_m_requires_u(capsys):
+    """--m is a threshold for one --u; the rc sweep over many u has none."""
+    code, out, err = run(capsys, "conjecture", "rc", "--m", "2")
+    assert (code, out) == (2, "")
+    assert err == "conjecture rc --m requires --u\n"
 
 
 def test_conjecture_maxri_small(capsys):
@@ -286,3 +303,66 @@ def test_incomplete_exit_code(capsys, monkeypatch):
     )
     monkeypatch.setattr(cli, "check_max_ri", lambda cfg: fake)
     assert run(capsys, "conjecture", "maxri")[0] == 2
+
+
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["-h", "expand"], ["bogus"], ["--json"],
+    *([name, "-h"] for name in COMMANDS),
+    ["ptab"], ["commutes", "1"], ["centralizer", "1", "--len", "2"], ["count", "1", "--max", "2"],
+    ["expand", "21"], ["conjecture"],
+    ["expand", "21", "--len", "3", "extra"], ["expand", "21", "--len", "x"], ["conjecture", "nope"],
+    ["ptab", "212"], ["commutes", "21", "1", "--json"], ["centralizer", "1", "--len", "2", "--max", "2"],
+    ["count", "1", "--len", "3", "--max", "2"], ["expand", "21", "--len", "4"],
+    ["conjecture", "rc", "--u", "1", "--m", "2", "--w-alphabet", "2", "--shards", "2"],
+]
+
+
+def parse(capsys, parser, argv):
+    """(the Namespace, or the exit code of a help or usage error, stdout, stderr)"""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_cli_text_matches_the_full_parser(capsys, monkeypatch, argv):
+    """The parser built for argv reads it as the parser of every command
+    does: the same Namespace, or the same help, error text and exit code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = parse(capsys, build_parser(), argv)
+    assert parse(capsys, build_parser(argv), argv) == full
+    if not isinstance(full[0], argparse.Namespace):
+        assert run(capsys, *argv) == full
+
+
+def _commands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_a_command_builds_only_its_own_subparser():
+    assert _commands(build_parser()) == list(COMMANDS)
+    for name in COMMANDS:
+        assert _commands(build_parser([name])) == [name]
+
+
+def test_console_entry_point():
+    """python -m plactic.cli runs main(), which exits with cli_dispatch's code."""
+    src = str(pathlib.Path(plactic.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+
+    def console(*argv):
+        return subprocess.run([sys.executable, "-m", "plactic.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    shown = console("--help")
+    assert shown.returncode == 0
+    assert "{ptab,commutes,centralizer,count,expand,conjecture}" in shown.stdout
+    for name in COMMANDS:
+        assert f"\n    {name} " in shown.stdout
+    assert console("expand", "1", "--len", "4").stdout == "C(m,1) + 4*C(m,2) + C(m,3)\n"
+    assert console("bogus").returncode == 2
