@@ -23,7 +23,7 @@ def default_budget() -> int:
     """Word-enumeration budget; PLACTIC_BUDGET overrides the default 10^8."""
     raw = os.environ.get("PLACTIC_BUDGET")
     if raw:
-        problem = ValueError(f"PLACTIC_BUDGET must be a positive integer, got {raw!r}")
+        problem = BadParameterError(f"PLACTIC_BUDGET must be a positive integer, got {raw!r}")
         try:
             budget = int(raw)
         except ValueError:
@@ -82,18 +82,21 @@ def is_yamanouchi(w: Iterable[int]) -> bool:
     return True
 
 
-def test_c12(w: Iterable[int]) -> bool:
-    """Membership in C(12) read off P(w): singleton columns hold 1s or 2s
-    and, if any exist, both a singleton 1 and a singleton 2 occur; every
-    column of height >= 2 contains both a 1 and a 2."""
-    cols = p_tableau(word(w)).columns()
-    singles = [col[0] for col in cols if len(col) == 1]
-    if singles:
-        if any(a not in (1, 2) for a in singles):
-            return False
-        if 1 not in singles or 2 not in singles:
-            return False
+def c12_columns(cols) -> bool:
+    """The C(12) rule on the columns of an insertion tableau: singleton
+    columns hold 1s or 2s and, if any exist, both a singleton 1 and a
+    singleton 2 occur; every column of height >= 2 contains both a 1 and
+    a 2.  Only rows 1 and 2 matter, so the rule also reads a tableau's
+    first two rows alone."""
+    singles = {col[0] for col in cols if len(col) == 1}
+    if singles and singles != {1, 2}:
+        return False
     return all(1 in col and 2 in col for col in cols if len(col) >= 2)
+
+
+def test_c12(w: Iterable[int]) -> bool:
+    """Membership in C(12), the column rule ``c12_columns`` on P(w)."""
+    return c12_columns(p_tableau(word(w)).columns())
 
 
 def test_c212(w: Iterable[int]) -> bool:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .centralizer import require_budget
+from .centralizer import c12_columns, require_budget
 from .errors import (
     BadParameterError,
     BadShapeError,
@@ -155,18 +155,9 @@ def family_of_word(u: Iterable[int]) -> Family:
 
 def _word12_head(l1: int, l2: int, cap: int) -> int:
     """Fillings of the two-row shape (l1, l2) with entries <= cap <= 2
-    allowed in the first two rows of an insertion tableau of a C(12) word:
-    columns of height 2 contain both letters, singleton cells are 1s or 2s
-    with both kinds present whenever any singleton exists."""
-    count = 0
-    for t in iter_ssyt((l1, l2) if l2 else ((l1,) if l1 else ()), cap):
-        cols = t.columns()
-        singles = [col[0] for col in cols if len(col) == 1]
-        if singles and (1 not in singles or 2 not in singles):
-            continue
-        if all(1 in col and 2 in col for col in cols if len(col) == 2):
-            count += 1
-    return count
+    allowed in the first two rows of an insertion tableau of a C(12) word."""
+    shape = (l1, l2) if l2 else ((l1,) if l1 else ())
+    return sum(c12_columns(t.columns()) for t in iter_ssyt(shape, cap))
 
 
 def _shape_terms(family: Family, n: int, cap: int) -> list:

@@ -2,8 +2,9 @@
 
 The maxri, stability and rc checks list the insertion tableaux of the
 members of C(u) in the w range with the kernel's tableau fill, one fill
-per (u, length) block, and test each tableau once: membership and the
-conjectures' tests read P(w) alone.  Only a tableau that fails is expanded
+per distinct (u, length), and test each tableau once: membership and the
+conjectures' tests read P(w) alone.  The rc sweep is one such pass over
+the two sides of every (u, m) pair.  Only a tableau that fails is expanded
 into the words of its Knuth class.  Each check returns a SweepReport.
 Reports serialize to a canonical JSON form that is byte-stable across
 reruns; wall-clock time is kept on the report object and pinned to 0 in
@@ -129,22 +130,29 @@ def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
     """Call test(i, t) once on every insertion tableau t of the members of
     C(us[i]) within the w range.
 
-    The tableaux come from one kernel fill per (u, length) block.  test
-    returns None when t passes, else the detail of a counterexample; every
-    word of a failing tableau's Knuth class then gives a payload, and a
-    block's payloads are put in word order.  Returns (checked,
-    counterexamples, complete), where checked counts the words of every
-    finished block.  This is the one place an interrupt is caught: it ends
-    the sweep inside the block it hits, which is not counted.
+    The tableaux come from one kernel fill per distinct (u, length): a
+    word that recurs in us reuses its fill, which is kept only until the
+    last block that reads it.  test returns None when t passes, else the
+    detail of a counterexample; every word of a failing tableau's Knuth
+    class then gives a payload, and a block's payloads are put in word
+    order.  Returns (checked, counterexamples, complete), where checked
+    counts the words of every finished (us[i], length) block.  This is the
+    one place an interrupt is caught: it ends the sweep inside the block
+    it hits, which is not counted.
     """
     budget = cfg.resolved_budget()
+    last = {u: i for i, u in enumerate(us)}
+    fills: dict = {}
     checked = 0
     counterexamples = []
     try:
         for i, u in enumerate(us):
             for n in range(cfg.w_length + 1):
+                if (u, n) not in fills:
+                    fills[u, n] = centralizer_tableaux(u, n, cfg.w_alphabet, budget=budget)
+                tableaux = fills[u, n] if last[u] > i else fills.pop((u, n))
                 block = len(counterexamples)
-                for t in centralizer_tableaux(u, n, cfg.w_alphabet, budget=budget):
+                for t in tableaux:
                     detail = test(i, t)
                     if detail is not None:
                         counterexamples.extend(
@@ -292,6 +300,30 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
     )
 
 
+def _rc_members(pairs: list, cfg: SweepConfig) -> tuple:
+    """One member pass over the sides u, rc_m(u, m) of every (u, m) pair,
+    in order, after one budget check for the whole pass.  Side i maps
+    tau_m of each member tableau, m from pair i // 2, into the other side
+    of its pair.  Returns _sweep_members's triple and the count of member
+    tableaux of each side."""
+    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
+    require_budget(2 * n_w * len(pairs), cfg.budget, "(u, w) pairs in the sweep")
+    sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
+    tableaux = [0] * len(sides)
+
+    def test(i, t):
+        tableaux[i] += 1
+        m = pairs[i // 2][1]
+        image = tau_m(t, m)
+        target = sides[i ^ 1]
+        if in_centralizer(target, image.row_word()):
+            return None
+        return (f"tau_{m} image with row word [{format_word(image.row_word())}] is not in "
+                f"C({format_word(target)})")
+
+    return _sweep_members(sides, cfg, test), tableaux
+
+
 def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     """Both containments of the reverse-complement conjecture on the w
     range: tau_m(P-tableau) of every range word in C(u) must belong to
@@ -302,25 +334,7 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     u = word(u)
     if u and max(u) > m:
         raise MaxEntryExceedsMError(f"need max(u) <= m, got max {max(u)} with m = {m}")
-    u_rc = rc_m(u, m)
-    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
-    total = 2 * n_w
-    require_budget(total, cfg.budget, "(u, w) pairs in the sweep")
-
-    # side 0 maps C(u) towards C(u_rc), side 1 maps back
-    sides = [u, u_rc]
-    tableaux = [0, 0]
-
-    def test(i, t):
-        tableaux[i] += 1
-        image = tau_m(t, m)
-        target = sides[1 - i]
-        if in_centralizer(target, image.row_word()):
-            return None
-        return (f"tau_{m} image with row word [{format_word(image.row_word())}] is not in "
-                f"C({format_word(target)})")
-
-    checked, cx, complete = _sweep_members(sides, cfg, test)
+    (checked, cx, complete), tableaux = _rc_members([(u, m)], cfg)
     elapsed = int((time.monotonic() - t0) * 1000)
     return SweepReport(
         conjecture="rc",
@@ -329,10 +343,7 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
         verdict=_verdict(cx, complete),
         counterexamples=tuple(cx),
         elapsed_ms=elapsed,
-        observed={
-            "c_u_tableaux": tableaux[0],
-            "c_rc_tableaux": tableaux[1],
-        },
+        observed={"c_u_tableaux": tableaux[0], "c_rc_tableaux": tableaux[1]},
     )
 
 
@@ -349,21 +360,11 @@ def rc_pairs(cfg: SweepConfig) -> list:
 
 
 def check_rc_sweep(cfg: SweepConfig) -> SweepReport:
-    """check_rc over every (u, m) pair in range, merged into one report."""
+    """The rc containments over every (u, m) pair in range, in one member
+    pass: the report is check_rc's over the pairs, merged in order."""
     t0 = time.monotonic()
     pairs = rc_pairs(cfg)
-    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
-    require_budget(2 * n_w * len(pairs), cfg.budget, "(u, w) pairs in the sweep")
-    checked = 0
-    cx: list = []
-    complete = True
-    for u, m in pairs:
-        report = check_rc(u, m, cfg)
-        checked += report.checked
-        cx.extend(report.counterexamples)
-        if report.verdict == VERDICT_INCOMPLETE:
-            complete = False
-            break
+    (checked, cx, complete), _ = _rc_members(pairs, cfg)
     elapsed = int((time.monotonic() - t0) * 1000)
     return SweepReport(
         conjecture="rc",

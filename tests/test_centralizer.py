@@ -5,6 +5,7 @@ import pytest
 # the membership tests are named test_* in the library, which pytest would
 # otherwise try to collect; alias them on import
 from plactic import (
+    BadParameterError,
     BudgetExceededError,
     centralizer_words,
     count_centralizer_words,
@@ -19,7 +20,7 @@ from plactic import test_c212 as c212
 from plactic import test_single_letter_cols as single_letter_cols
 from plactic import test_single_letter_rows as single_letter_rows
 from plactic import test_staircase as staircase
-from plactic.centralizer import DEFAULT_BUDGET, default_budget
+from plactic.centralizer import DEFAULT_BUDGET, c12_columns, default_budget
 from plactic.cli import cli_dispatch
 
 from helpers import commutes_oracle, words_over
@@ -106,6 +107,8 @@ def test_characterizations_match_oracle():
             assert single_letter_cols(u, w) == expect
         assert c1_lwi(w) == in_centralizer((1,), w)
         assert c12(w) == in_centralizer((1, 2), w)
+        # the C(12) shape sum reads the column rule on rows 1 and 2 alone
+        assert c12_columns(tuple(col[:2] for col in p_tableau(w).columns())) == c12(w)
         assert c212(w) == in_centralizer((2, 1, 2), w)
         for m in (2, 3):
             stair = tuple(range(m, 0, -1))
@@ -234,10 +237,12 @@ def test_default_budget_env_override(monkeypatch):
 
 
 def test_malformed_budget_env_names_the_variable(monkeypatch, capsys):
-    for raw in ("abc", "1e3", "0", "-5"):
+    for raw in ("abc", "1e3", "0", "-3", "-5"):
         monkeypatch.setenv("PLACTIC_BUDGET", raw)
         message = f"PLACTIC_BUDGET must be a positive integer, got '{raw}'"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(BadParameterError, match=message):
             default_budget()
+        with pytest.raises(BadParameterError, match=message):
+            count_centralizer_words((1,), 2, 2)
         assert cli_dispatch(["count", "1", "--len", "2", "--max", "2"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

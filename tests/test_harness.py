@@ -285,6 +285,32 @@ def test_stability_interrupt_marks_incomplete(monkeypatch):
     assert "non_containments" not in report.observed
 
 
+def test_rc_sweep_interrupt_marks_incomplete(monkeypatch):
+    """An interrupt ends the rc pass inside the (side, length) block it
+    hits: checked counts only the blocks that finished before it."""
+    import plactic.harness as harness
+
+    real = harness.centralizer_tableaux
+    calls = {"n": 0}
+
+    def flaky(u, n, m, budget=None):
+        calls["n"] += 1
+        if calls["n"] == 5:  # side (2,), n = 1
+            raise KeyboardInterrupt
+        return real(u, n, m, budget=budget)
+
+    monkeypatch.setattr(harness, "centralizer_tableaux", flaky)
+    cfg = SweepConfig("rc", u_alphabet=2, u_length=1, u_sum_bound=3, w_alphabet=2, w_length=2)
+    # sides (1,) (1,) | (1,) (2,) | (2,) (1,): the first three share one
+    # fill per length, the fourth is interrupted after its n = 0 block
+    assert rc_pairs(cfg) == [((1,), 1), ((1,), 2), ((2,), 2)]
+    report = check_rc_sweep(cfg)
+    assert report.verdict == "incomplete"
+    assert report.checked == 3 * (1 + 2 + 4) + 1
+    assert report.counterexamples == ()
+    assert report.observed == {"pairs": 3}
+
+
 def test_stability_shard_independence():
     cfgs = [
         SweepConfig("stability", w_alphabet=3, w_length=3, k_bound=3, shards=s)
@@ -401,6 +427,25 @@ def test_rc_sweep_merges_pairs():
     assert "u" not in report.config
 
 
+def test_rc_sweep_fills_each_side_word_once_per_length(monkeypatch):
+    import plactic._kernels as kernels
+
+    real = kernels.commuting_tableaux
+    calls = []
+
+    def counted(u, n, m):
+        calls.append((tuple(u), n, m))
+        return real(u, n, m)
+
+    monkeypatch.setattr(kernels, "commuting_tableaux", counted)
+    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=2, w_length=3)
+    sides = {side for u, m in rc_pairs(cfg) for side in (u, rc_m(u, m))}
+    report = check_rc_sweep(cfg)
+    assert report.verdict == "holds"
+    assert 2 * len(rc_pairs(cfg)) > len(sides)
+    assert len(calls) == len(set(calls)) == len(sides) * (cfg.w_length + 1)
+
+
 def test_rc_shard_independence():
     blobs = {
         check_rc(
@@ -462,6 +507,22 @@ def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
         assert want, (u, m)
         assert report.verdict == "counterexample"
         assert report.counterexamples == tuple(want), (u, m)
+
+
+def test_rc_sweep_is_check_rc_over_the_pairs_in_order(monkeypatch):
+    import plactic.harness as harness
+
+    # tau_m as the identity, as above, so that several pairs fail.
+    monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
+    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3,
+                      budget=GOLDEN_BUDGET)
+    reports = [check_rc(u, m, cfg) for u, m in rc_pairs(cfg)]
+    want = tuple(c for r in reports for c in r.counterexamples)
+    sweep = check_rc_sweep(cfg)
+    assert sum(1 for r in reports if r.counterexamples) > 1
+    assert sweep.checked == sum(r.checked for r in reports)
+    assert sweep.verdict == _verdict(want, True) == "counterexample"
+    assert sweep.counterexamples == want
 
 
 def test_stability_witness_matches_the_per_word_sweep(monkeypatch):
