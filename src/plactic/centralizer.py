@@ -118,12 +118,21 @@ def test_staircase(m: int, w: Iterable[int]) -> bool:
     return all(row[-1] <= m for row in t.rows[:m])
 
 
+def _shown(count: int) -> str:
+    """``count`` in decimal, or its power of two when it has more digits
+    than Python converts to a string."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
+
+
 def require_budget(total: int, budget, what: str) -> int:
     """Raise BudgetExceeded when ``total`` (the count of ``what``) is over
     the budget; None means default_budget().  Returns the budget used."""
     limit = default_budget() if budget is None else budget
     if total > limit:
-        raise BudgetExceededError(f"{what}: {total}, over the budget {limit}")
+        raise BudgetExceededError(f"{what}: {_shown(total)}, over the budget {_shown(limit)}")
     return limit
 
 

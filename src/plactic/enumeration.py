@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .centralizer import c12_columns, require_budget
+from .centralizer import c12_columns, default_budget, require_budget
 from .errors import (
     BadParameterError,
     BadShapeError,
@@ -41,13 +41,23 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _partition_count(n: int) -> int:
-    """p(n), the number of partitions of n >= 0, without listing them."""
-    p = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            p[total] += p[total - part]
-    return p[n]
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ...: the numbers of partitions, without listing
+    them, by Euler's pentagonal number recurrence
+    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2))."""
+    p = [1]
+    yield 1
+    while True:
+        k = len(p)
+        total = 0
+        j, g = 1, 1  # g = j(3j-1)/2, the pentagonal numbers
+        while g <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+            g += 3 * j - 2
+        p.append(total)
+        yield total
 
 
 def _contents(shape: tuple) -> tuple:
@@ -262,7 +272,8 @@ def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     caps the head at r) and evaluated at each of the d+2 points, so
     (d+2) * p(n) shape terms are evaluated; BudgetExceeded is raised up
     front, before any shape is listed, when that is over the word budget
-    (None means default_budget()).
+    (None means default_budget()).  p is nondecreasing, so the partitions
+    are counted up to n only while (d+2) * p(k) stays within the budget.
     """
     u = word(u)
     family = family_of_word(u)
@@ -270,7 +281,11 @@ def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     if n < r:
         raise BadParameterError(f"need n >= {r} for u = {u}, got n = {n}")
     d = n - r
-    require_budget((d + 2) * _partition_count(n), budget, f"shape terms in expanding c_{{{n},m}}")
+    limit = default_budget() if budget is None else budget
+    for k, p in zip(range(n + 1), _partition_counts()):
+        if (d + 2) * p > limit:
+            at_least = "" if k == n else f", at least {d + 2} * p({k})"
+            require_budget((d + 2) * p, limit, f"shape terms in expanding c_{{{n},m}}{at_least}")
     m0 = max(n, max(u))
     terms = _shape_terms(family, n, r)
     values = [_sum_terms(terms, m - r) for m in range(m0, m0 + d + 2)]

@@ -51,10 +51,6 @@ class BadParameterError(PlacticError, ValueError):
     a non-positive bound, or a length too short for the word."""
 
 
-class BoundExceededError(PlacticError, ValueError):
-    """Input exceeds the configured size bound of an exhaustive search."""
-
-
 class BudgetExceededError(PlacticError, RuntimeError):
     """An enumeration would examine more words than the configured budget."""
 

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
+from . import _kernels
 from .centralizer import centralizer_tableaux, default_budget, in_centralizer, require_budget
 from .enumeration import expand_binomial
 from .errors import BadParameterError, MaxEntryExceedsMError
 from .involutions import rc_m, tau_m
-from .rsk import knuth_class, p_tableau
+from .rsk import p_tableau
 from .tableau import Word, f_lambda, format_word, word
 
 VERDICT_HOLDS = "holds"
@@ -114,7 +115,13 @@ def words_up_to(alphabet: int, max_len: int, min_len: int = 0) -> Iterator[Word]
 
 
 def count_words_up_to(alphabet: int, max_len: int, min_len: int = 0) -> int:
-    return sum(alphabet**n for n in range(min_len, max_len + 1))
+    """The number of words words_up_to lists, as a closed geometric sum."""
+    lengths = max_len + 1 - min_len
+    if lengths <= 0:
+        return 0
+    if alphabet == 1:
+        return lengths
+    return alphabet**min_len * (alphabet**lengths - 1) // (alphabet - 1)
 
 
 def _u_range(cfg: SweepConfig) -> list:
@@ -128,7 +135,8 @@ def _u_range(cfg: SweepConfig) -> list:
 
 def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
     """Call test(i, t) once on every insertion tableau t of the members of
-    C(us[i]) within the w range.
+    C(us[i]) within the w range, after one budget check on the
+    len(us) * (words in the w range) pairs of the whole sweep.
 
     The tableaux come from one kernel fill per distinct (u, length): a
     word that recurs in us reuses its fill, which is kept only until the
@@ -140,7 +148,8 @@ def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
     one place an interrupt is caught: it ends the sweep inside the block
     it hits, which is not counted.
     """
-    budget = cfg.resolved_budget()
+    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
+    budget = require_budget(len(us) * n_w, cfg.budget, "(u, w) pairs in the sweep")
     last = {u: i for i, u in enumerate(us)}
     fills: dict = {}
     checked = 0
@@ -156,7 +165,8 @@ def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
                     detail = test(i, t)
                     if detail is not None:
                         counterexamples.extend(
-                            {"u": list(u), "w": list(w), "detail": detail} for w in knuth_class(t)
+                            {"u": list(u), "w": list(w), "detail": detail}
+                            for w in _kernels.class_words([t.rows], t.size)
                         )
                 counterexamples[block:] = sorted(counterexamples[block:], key=lambda c: c["w"])
                 checked += cfg.w_alphabet**n
@@ -176,9 +186,6 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
     (number of rows of P(u)) rows of P(w) must have entries <= max(u)."""
     t0 = time.monotonic()
     us = _u_range(cfg)
-    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
-    total = len(us) * n_w
-    require_budget(total, cfg.budget, "(u, w) pairs in the sweep")
     bounds = [(max(u), len(p_tableau(u).rows)) for u in us]
 
     def test(i, t):
@@ -210,10 +217,6 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
     below it worked (vacuously: no containment left to check)."""
     t0 = time.monotonic()
     u = word(u)
-    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
-    total = cfg.k_bound * n_w
-    require_budget(total, cfg.budget, "(u, w) pairs in the sweep")
-
     sets: dict = {k: set() for k in range(1, cfg.k_bound + 1)}
 
     def test(i, t):
@@ -229,7 +232,7 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
         for k in range(1, cfg.k_bound):
             diff = sets[k] - sets[k + 1]
             if diff:
-                witness = min(knuth_class(t)[0] for t in diff)
+                witness = min(_kernels.class_words([t.rows], t.size)[0] for t in diff)
                 bad_containment = k
                 non_containments.append({"k": k, "w": list(witness)})
             if sets[k] != sets[k + 1]:
@@ -302,12 +305,9 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
 
 def _rc_members(pairs: list, cfg: SweepConfig) -> tuple:
     """One member pass over the sides u, rc_m(u, m) of every (u, m) pair,
-    in order, after one budget check for the whole pass.  Side i maps
-    tau_m of each member tableau, m from pair i // 2, into the other side
-    of its pair.  Returns _sweep_members's triple and the count of member
-    tableaux of each side."""
-    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
-    require_budget(2 * n_w * len(pairs), cfg.budget, "(u, w) pairs in the sweep")
+    in order.  Side i maps tau_m of each member tableau, m from pair
+    i // 2, into the other side of its pair.  Returns _sweep_members's
+    triple and the count of member tableaux of each side."""
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
     tableaux = [0] * len(sides)
 

@@ -30,7 +30,7 @@ def _inner_profile(skew: SkewTableau) -> list:
     return inner
 
 
-def _mu_corners(outer, inner) -> list:
+def _mu_corners(inner) -> list:
     """Removable corners of the inner (blank) shape, 0-based (i, j)."""
     corners = []
     for i, inn in enumerate(inner):
@@ -53,7 +53,7 @@ def inner_corners(skew: SkewTableau) -> list:
     inner = _inner_profile(skew)
     return [
         (i + 1, j + 1)
-        for (i, j) in _mu_corners(skew.outer, inner)
+        for (i, j) in _mu_corners(inner)
         if _has_filled_neighbor(skew.outer, inner, i, j)
     ]
 
@@ -103,7 +103,7 @@ def jdt_slide(skew: SkewTableau, hole: tuple) -> SkewTableau:
     """
     i, j = hole[0] - 1, hole[1] - 1
     inner = _inner_profile(skew)
-    if (i, j) not in _mu_corners(skew.outer, inner):
+    if (i, j) not in _mu_corners(inner):
         raise NotAnInnerCornerError(f"{hole} is not an inner corner")
     if not _has_filled_neighbor(skew.outer, inner, i, j):
         raise NotAnInnerCornerError(f"{hole} has no filled neighbor")
@@ -121,16 +121,11 @@ def _slide_out(skew: SkewTableau):
     outer = list(skew.outer)
     grid = _grid(skew, inner)
     yield grid, outer, inner
-    while corners := _mu_corners(outer, inner):
-        i, j = corners[0]  # corner columns fall from the top row down
-        if _has_filled_neighbor(outer, inner, i, j):
-            _slide_once(grid, outer, inner, i, j)
-        else:
-            # Degenerate corner: nothing to slide, the cell just leaves the
-            # shape (it is a removable corner of both inner and outer).
-            del grid[i][j]
-            outer[i] -= 1
-            inner[i] -= 1
+    while corners := _mu_corners(inner):
+        # Corner columns fall from the top row down.  A corner with no
+        # filled neighbour is a corner of the outer shape too, and its
+        # slide only takes the cell out of the shape.
+        _slide_once(grid, outer, inner, *corners[0])
         yield grid, outer, inner
 
 

@@ -4,6 +4,10 @@ The two moves act on a window of three adjacent letters:
 
     a c b  <->  c a b   when a <= b < c
     b a c  <->  b c a   when a < b <= c
+
+Two words are Knuth equivalent exactly when they have the same insertion
+tableau, so the class of w is read off P(w): its f^shape words are the
+insertion paths that end at P(w).
 """
 
 from __future__ import annotations
@@ -11,10 +15,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import _kernels
-from .errors import BoundExceededError
-from .tableau import word
-
-DEFAULT_CLASS_BOUND = 10
+from .centralizer import require_budget
+from .tableau import f_lambda, word
 
 
 def knuth_neighbors(w: Iterable[int]) -> frozenset:
@@ -38,19 +40,11 @@ def knuth_equivalent(v: Iterable[int], w: Iterable[int]) -> bool:
 
 
 def knuth_class(w: Iterable[int]) -> frozenset:
-    """The full Knuth class of ``w`` by breadth-first closure of the moves;
-    a word longer than DEFAULT_CLASS_BOUND raises BoundExceededError."""
+    """The Knuth class of ``w``: the words with the insertion tableau P(w).
+
+    Raises BudgetExceeded when its f^shape words are over the word budget.
+    """
     w = word(w)
-    if len(w) > DEFAULT_CLASS_BOUND:
-        raise BoundExceededError(f"|w| = {len(w)} exceeds the class bound {DEFAULT_CLASS_BOUND}")
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for x in knuth_neighbors(v):
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return frozenset(seen)
+    rows = _kernels.insertion_rows(w)
+    require_budget(f_lambda(map(len, rows)), None, "words in the Knuth class")
+    return frozenset(_kernels.class_words([rows], len(w)))

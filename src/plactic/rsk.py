@@ -93,11 +93,6 @@ def inverse_rsk(p: Tableau, q: Tableau) -> Word:
     return tuple(out)
 
 
-def knuth_class(t: Tableau) -> list:
-    """The words w with P(w) = t, sorted; there are f^shape of them."""
-    return _kernels.class_words([t.rows], t.size)
-
-
 def _first_row(w: Word) -> tuple:
     # Row 1 of P(w) holds, in place i, the least letter that ends a weakly
     # increasing subsequence of length i + 1 (Schensted's theorem).

@@ -148,30 +148,27 @@ def row_count_filter(row: Iterable[int], u: int, strict: bool) -> int:
     return bisect_left(row, u) if strict else bisect_right(row, u)
 
 
-def _check_rows(rows: tuple) -> None:
+def _check_cells(rows: tuple, inner: tuple = ()) -> None:
+    """The semistandard conditions on filled rows: positive integer entries,
+    weakly increasing rows and strictly increasing columns.  Row i + 1
+    starts after inner[i] blank cells (none past the end of ``inner``)."""
     for i, row in enumerate(rows):
-        if not row:
-            raise BadShapeError(f"row {i + 1} is empty", cell=(i + 1, 1))
+        inn = inner[i] if i < len(inner) else 0
         for j, a in enumerate(row):
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise BadShapeError(
-                    f"entries must be positive integers, got {a!r}", cell=(i + 1, j + 1)
+                    f"entries must be positive integers, got {a!r}", cell=(i + 1, inn + j + 1)
                 )
-        for j in range(len(row) - 1):
-            if row[j] > row[j + 1]:
-                raise RowNotWeaklyIncreasingError(
-                    f"{row[j]} > {row[j + 1]}", cell=(i + 1, j + 2)
-                )
-    for i in range(len(rows) - 1):
-        if len(rows[i + 1]) > len(rows[i]):
-            raise BadShapeError(
-                f"row {i + 2} longer than row {i + 1}", cell=(i + 2, len(rows[i]) + 1)
-            )
-        for j in range(len(rows[i + 1])):
-            if rows[i][j] >= rows[i + 1][j]:
-                raise ColumnNotStrictlyIncreasingError(
-                    f"{rows[i][j]} >= {rows[i + 1][j]}", cell=(i + 2, j + 1)
-                )
+            if j and row[j - 1] > a:
+                raise RowNotWeaklyIncreasingError(f"{row[j - 1]} > {a}", cell=(i + 1, inn + j + 1))
+        if i:
+            # the columns this row shares with the row above
+            upper = inner[i - 1] if i - 1 < len(inner) else 0
+            start = max(upper, inn)
+            pairs = zip(rows[i - 1][start - upper :], row[start - inn :])
+            for j, (a, b) in enumerate(pairs, start):
+                if a >= b:
+                    raise ColumnNotStrictlyIncreasingError(f"{a} >= {b}", cell=(i + 1, j + 1))
 
 
 class Tableau:
@@ -186,7 +183,14 @@ class Tableau:
 
     def __init__(self, rows: Iterable[Iterable[int]] = ()):
         rows = tuple(tuple(r) for r in rows)
-        _check_rows(rows)
+        for i, row in enumerate(rows):
+            if not row:
+                raise BadShapeError(f"row {i + 1} is empty", cell=(i + 1, 1))
+            if i and len(row) > len(rows[i - 1]):
+                raise BadShapeError(
+                    f"row {i + 1} longer than row {i}", cell=(i + 1, len(rows[i - 1]) + 1)
+                )
+        _check_cells(rows)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -324,27 +328,7 @@ class SkewTableau:
                     f"row {i + 1} has {len(rows[i])} entries, expected {out - inn}",
                     cell=(i + 1, inn + 1),
                 )
-            for j, a in enumerate(rows[i]):
-                if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                    raise BadShapeError(
-                        f"entries must be positive integers, got {a!r}",
-                        cell=(i + 1, inn + j + 1),
-                    )
-            for j in range(len(rows[i]) - 1):
-                if rows[i][j] > rows[i][j + 1]:
-                    raise RowNotWeaklyIncreasingError(
-                        f"{rows[i][j]} > {rows[i][j + 1]}", cell=(i + 1, inn + j + 2)
-                    )
-        for i in range(len(outer) - 1):
-            upper = inner[i] if i < len(inner) else 0
-            lower = inner[i + 1] if i + 1 < len(inner) else 0
-            for j in range(lower, outer[i + 1]):
-                if j < upper:
-                    continue
-                a = rows[i][j - upper]
-                b = rows[i + 1][j - lower]
-                if a >= b:
-                    raise ColumnNotStrictlyIncreasingError(f"{a} >= {b}", cell=(i + 2, j + 1))
+        _check_cells(rows, inner)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewTableau is immutable")

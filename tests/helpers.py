@@ -85,6 +85,32 @@ def lwi_oracle(w):
     return best
 
 
+def knuth_class_oracle(w):
+    """The Knuth class of w by its definition: the closure of w under the
+    moves on three adjacent letters, acb <-> cab (a <= b < c) and
+    bac <-> bca (a < b <= c), walked breadth first."""
+    w = tuple(w)
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(len(v) - 2):
+                x, y, z = v[i : i + 3]
+                moved = []
+                if min(x, y) <= z < max(x, y):  # z is the b of acb / cab
+                    moved.append((y, x, z))
+                if min(y, z) < x <= max(y, z):  # x is the b of bac / bca
+                    moved.append((x, z, y))
+                for window in moved:
+                    v2 = v[:i] + window + v[i + 3 :]
+                    if v2 not in seen:
+                        seen.add(v2)
+                        nxt.append(v2)
+        frontier = nxt
+    return frozenset(seen)
+
+
 def words_over(alphabet, max_len, min_len=0):
     for n in range(min_len, max_len + 1):
         yield from itertools.product(range(1, alphabet + 1), repeat=n)

@@ -44,7 +44,7 @@ from plactic.enumeration import binom, iter_ssyt
 from plactic.harness import _u_range
 from plactic.tableau import iter_partitions
 
-from helpers import rectify_lowest_corner_first, words_over
+from helpers import knuth_class_oracle, rectify_lowest_corner_first, words_over
 
 
 @contextmanager
@@ -147,6 +147,7 @@ def test_criterion_06_knuth_classes(capsys):
         for w in words:
             by_tableau[p_tableau(w)].add(w)
         for w in words:
+            assert knuth_class_oracle(w) == by_tableau[p_tableau(w)]
             assert knuth_class(w) == by_tableau[p_tableau(w)]
         for u in ((1,), (2,), (1, 2), (2, 1), (2, 1, 2), (3, 2, 1)):
             for n in range(0, 7):

@@ -105,3 +105,34 @@ def test_no_unused_imports_in_the_package():
         if path.name != "__init__.py"
     }
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def _modules():
+    package = pathlib.Path(plactic.__file__).parent
+    return {str(path.relative_to(package)): ast.parse(path.read_text())
+            for path in sorted(package.rglob("*.py"))}
+
+
+def test_no_public_function_is_defined_twice():
+    """No two package modules define a public top-level function of the
+    same name."""
+    defined = {}
+    for path, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.setdefault(node.name, []).append(path)
+    assert {name: paths for name, paths in defined.items() if len(paths) > 1} == {}
+
+
+def test_every_specific_error_is_raised():
+    """Each error class but the two bases is raised somewhere in the package."""
+    modules = _modules()
+    declared = {node.name for node in modules["errors.py"].body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert declared - raised - {"PlacticError", "TableauError"} == set()

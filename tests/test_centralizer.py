@@ -218,6 +218,17 @@ def test_budget_checked_before_enumeration():
     assert count_centralizer_words((1,), 2, 2, budget=4) == 2
 
 
+def test_budget_refusal_of_a_total_too_long_to_print():
+    """2^20000 has more digits than Python converts to a string; the
+    refusal names its power of two and is still a BudgetExceeded."""
+    with pytest.raises(BudgetExceededError, match=r"^words in \[2\]\^20000: at least 2\^20000, over the budget 100000000$"):
+        count_centralizer_words((1,), 20000, 2, budget=10**8)
+    # a total that prints keeps its decimal form
+    with pytest.raises(BudgetExceededError) as info:
+        count_centralizer_words((1,), 1000, 2, budget=10**8)
+    assert str(info.value) == f"words in [2]^1000: {2**1000}, over the budget 100000000"
+
+
 def test_negative_length_or_alphabet_is_a_value_error():
     for n, m in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):

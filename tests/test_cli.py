@@ -139,6 +139,13 @@ def test_expand_over_budget_exits_2(capsys):
     assert err.startswith("error:") and "shape terms" in err
 
 
+def test_count_over_budget_by_a_huge_total_exits_2(capsys):
+    code, out, err = run(capsys, "count", "1", "--len", "20000", "--max", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: words in [2]^20000: at least 2^20000, over the budget")
+
+
 def test_negative_length_exits_2(capsys):
     code, out, err = run(capsys, "count", "1", "--len", "-1", "--max", "2")
     assert code == 2

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from plactic import (
@@ -15,7 +17,7 @@ from plactic import (
     staircase,
     word12,
 )
-from plactic.enumeration import _fit_binomial, _partition_count, binom, iter_ssyt
+from plactic.enumeration import _fit_binomial, _partition_counts, binom, iter_ssyt
 from plactic.tableau import is_partition, iter_partitions
 
 from helpers import hook_product, order_poly_oracle, ssyt_fillings_oracle, syt_count_oracle
@@ -41,11 +43,11 @@ def test_iter_partitions_row_cap_filters_the_full_listing():
     """Each listing is every partition of n once, in strictly decreasing
     lexicographic order, and the capped listing is the full one filtered
     to at most k parts, for n <= 15."""
-    for n in range(0, 16):
+    for n, count in zip(range(0, 16), _partition_counts()):
         full = list(iter_partitions(n))
         assert all(is_partition(lam) and sum(lam) == n for lam in full)
         assert full == sorted(set(full), reverse=True)
-        assert len(full) == _partition_count(n)
+        assert len(full) == count
         for k in range(0, n + 2):
             assert list(iter_partitions(n, k)) == [lam for lam in full if len(lam) <= k], (n, k)
 
@@ -274,6 +276,30 @@ def test_expand_budget_checked_before_any_shape_sum(monkeypatch):
     assert expand_binomial((1,), 5, budget=42).coefficients == (0, 1, 8, 13, 1)
 
 
+def test_expand_refusal_counts_few_partitions(monkeypatch):
+    """Over the budget, the partitions are counted only up to the first k
+    with (d + 2) * p(k) over it, however large n is."""
+    import plactic.enumeration as enumeration
+
+    drawn = []
+
+    def counting():
+        for p in _partition_counts():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(enumeration, "_partition_counts", counting)
+    monkeypatch.delenv("PLACTIC_BUDGET", raising=False)
+    # 10**5 + 1 shape-term lists of p(k) terms pass 10**8 at p(22) = 1002
+    with pytest.raises(BudgetExceededError, match=r"c_\{100000,m\}, at least 100001 \* p\(22\): "):
+        enumeration.expand_binomial((1,), 10**5)
+    assert len(drawn) == 23
+    drawn.clear()
+    with pytest.raises(BudgetExceededError, match=r"c_\{5,m\}: 42, over the budget 41"):
+        enumeration.expand_binomial((1,), 5, budget=41)
+    assert len(drawn) == 6
+
+
 def test_expand_lists_the_partitions_once(monkeypatch):
     """One expansion lists the partitions of n once, however many m it samples."""
     import plactic.enumeration as enumeration
@@ -292,9 +318,10 @@ def test_expand_lists_the_partitions_once(monkeypatch):
 
 
 def test_partition_count_matches_listing():
+    counts = list(islice(_partition_counts(), 101))
     for n in range(0, 16):
-        assert _partition_count(n) == len(list(iter_partitions(n)))
-    assert _partition_count(100) == 190569292
+        assert counts[n] == len(list(iter_partitions(n)))
+    assert counts[100] == 190569292
 
 
 def test_hook_product_helper_agrees():

@@ -160,6 +160,41 @@ def test_words_up_to():
     assert count_words_up_to(4, 5) == len(list(words_up_to(4, 5)))
 
 
+def test_count_words_up_to_is_the_geometric_sum():
+    for alphabet in range(0, 5):
+        for min_len in range(0, 4):
+            for max_len in range(0, 6):
+                want = sum(alphabet**n for n in range(min_len, max_len + 1))
+                assert count_words_up_to(alphabet, max_len, min_len) == want
+
+
+def test_huge_sweep_is_refused_by_the_budget():
+    """A pair count with more digits than Python prints is still a
+    BudgetExceeded."""
+    cfg = SweepConfig("maxri", u_alphabet=1, u_length=1, w_alphabet=2, w_length=20000)
+    with pytest.raises(BudgetExceededError, match=r"pairs in the sweep: at least 2\^20000, over"):
+        check_max_ri(cfg)
+
+
+def test_each_sweep_checks_its_budget_once(monkeypatch):
+    import plactic.harness as harness
+
+    totals = []
+
+    def recording(total, budget, what):
+        totals.append(total)
+        return require_budget(total, budget, what)
+
+    monkeypatch.setattr(harness, "require_budget", recording)
+    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, w_alphabet=2, w_length=2, k_bound=3)
+    check_max_ri(cfg)
+    check_stability((1,), cfg)
+    check_rc((1,), 2, cfg)
+    check_rc_sweep(cfg)
+    # u range of 6 words, k_bound 3, 2 sides, 2 * len(rc_pairs) = 12 sides
+    assert totals == [6 * 7, 3 * 7, 2 * 7, 2 * len(rc_pairs(cfg)) * 7]
+
+
 def test_u_range_applies_sum_bound():
     cfg = SweepConfig("maxri", u_alphabet=3, u_length=3, u_sum_bound=3)
     assert _u_range(cfg) == [(1,), (2,), (1, 1)]

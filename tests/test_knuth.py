@@ -3,15 +3,15 @@ from collections import defaultdict
 import pytest
 
 from plactic import (
-    BoundExceededError,
+    BudgetExceededError,
+    f_lambda,
     knuth_class,
     knuth_equivalent,
     knuth_neighbors,
     p_tableau,
 )
-from plactic.knuth import DEFAULT_CLASS_BOUND
 
-from helpers import words_over
+from helpers import knuth_class_oracle, words_over
 
 
 def test_neighbors_examples():
@@ -47,20 +47,44 @@ def test_class_example():
     assert knuth_class((5,)) == {(5,)}
 
 
-def test_class_bound():
-    with pytest.raises(BoundExceededError):
-        knuth_class((1,) * (DEFAULT_CLASS_BOUND + 1))
-    assert knuth_class((1,) * DEFAULT_CLASS_BOUND) == {(1,) * DEFAULT_CLASS_BOUND}
+def test_class_bound(monkeypatch):
+    """The word budget bounds the f^shape words of a class; the length of
+    the word does not."""
+    assert knuth_class((1,) * 40) == {(1,) * 40}
+    w = (3, 1, 2, 1, 4)  # P(w) has shape (3, 1, 1), with 6 words
+    assert f_lambda(p_tableau(w).shape) == 6
+    monkeypatch.setenv("PLACTIC_BUDGET", "5")
+    with pytest.raises(BudgetExceededError, match="words in the Knuth class: 6, over the budget 5"):
+        knuth_class(w)
+    monkeypatch.setenv("PLACTIC_BUDGET", "6")
+    assert len(knuth_class(w)) == 6
+
+
+def test_class_of_a_long_word_is_the_closure():
+    w = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5)
+    got = knuth_class(w)
+    assert len(got) == 1155
+    assert got == knuth_class_oracle(w)
+
+
+def test_huge_class_is_refused_by_the_budget():
+    """A class whose size has more digits than Python prints still raises
+    BudgetExceeded, not the int-to-str ValueError."""
+    w = tuple(1 + (i * 7919) % 63 for i in range(4000))
+    with pytest.raises(BudgetExceededError, match=r"words in the Knuth class: at least 2\^"):
+        knuth_class(w)
 
 
 def test_class_equals_insertion_fiber():
-    """The BFS closure of the moves lands exactly on the words that share
-    an insertion tableau, for every word over [3] up to length 6."""
+    """The closure of the moves lands exactly on the words that share an
+    insertion tableau, and knuth_class lists them, for every word over [3]
+    up to length 6."""
     by_tableau = defaultdict(set)
     for w in words_over(3, 6):
         by_tableau[p_tableau(w)].add(w)
     for w in words_over(3, 6):
         fiber = by_tableau[p_tableau(w)]
+        assert knuth_class_oracle(w) == fiber
         assert knuth_class(w) == fiber
 
 

@@ -11,14 +11,15 @@ from plactic import (
     Tableau,
     dominates,
     inverse_rsk,
+    knuth_class,
     lwi,
     lwi_ending_at,
     p_tableau,
     row_insert,
     rsk_pair,
 )
+from plactic._kernels import class_words
 from plactic.enumeration import iter_ssyt
-from plactic.rsk import knuth_class
 from plactic.tableau import iter_partitions
 
 from helpers import lwi_oracle, p_oracle, syt_count_oracle, words_over
@@ -197,18 +198,20 @@ def test_p_of_row_word_is_identity():
 
 
 def test_knuth_class():
-    """knuth_class(T) lists the f^shape words with P(w) = T, sorted."""
+    """class_words([T.rows], |T|) lists the f^shape words with P(w) = T,
+    sorted, and knuth_class(w) is the set of them for T = P(w)."""
     seen = {}
     for w in words_over(3, 5):
         t = p_tableau(w)
         if t not in seen:
-            seen[t] = knuth_class(t)
+            seen[t] = class_words([t.rows], t.size)
             assert len(seen[t]) == syt_count_oracle(t.shape)
             assert seen[t] == sorted(set(seen[t]))
             assert all(p_oracle(v) == t.rows for v in seen[t])
         assert w in seen[t]
-    assert knuth_class(Tableau(())) == [()]
-    assert knuth_class(Tableau(((1, 3), (2,)))) == [(2, 1, 3), (2, 3, 1)]
+        assert knuth_class(w) == set(seen[t])
+    assert class_words([Tableau(()).rows], 0) == [()]
+    assert class_words([((1, 3), (2,))], 3) == [(2, 1, 3), (2, 3, 1)]
 
 
 def test_lemma_dominance_suite():
