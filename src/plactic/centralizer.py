@@ -14,7 +14,7 @@ from typing import Iterable
 from . import _kernels
 from .errors import BadParameterError, BudgetExceededError
 from .rsk import lwi, lwi_ending_at, p_tableau
-from .tableau import Tableau, row_count_filter, word
+from .tableau import Tableau, Word, row_count_filter, word
 
 DEFAULT_BUDGET = 10**8
 
@@ -136,11 +136,14 @@ def require_budget(total: int, budget, what: str) -> int:
     return limit
 
 
-def _word_total(n: int, m: int) -> int:
-    """|[m]^n|; a negative length or alphabet is a ValueError."""
+def _scan_of(u: Iterable[int], n: int, m: int, budget) -> Word:
+    """word(u), once the m^n words of [m]^n fit the budget; a negative
+    length or alphabet is a BadParameterError."""
+    u = word(u)
     if n < 0 or m < 0:
         raise BadParameterError(f"need word length and alphabet >= 0, got n = {n}, m = {m}")
-    return m**n
+    require_budget(m**n, budget, f"words in [{m}]^{n}")
+    return u
 
 
 def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
@@ -148,8 +151,7 @@ def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
 
     Raises BudgetExceeded when m^n is over the word budget.
     """
-    u = word(u)
-    require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")
+    u = _scan_of(u, n, m, budget)
     return _kernels.commuting_words(u, n, m)
 
 
@@ -161,13 +163,11 @@ def centralizer_tableaux(u: Iterable[int], n: int, m: int, budget=None) -> list:
 
     Raises BudgetExceeded when m^n is over the word budget.
     """
-    u = word(u)
-    require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")
+    u = _scan_of(u, n, m, budget)
     return [Tableau._unchecked(rows) for rows in _kernels.commuting_tableaux(u, n, m)]
 
 
 def count_centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> int:
     """len(centralizer_words(u, n, m)) without materializing the words."""
-    u = word(u)
-    require_budget(_word_total(n, m), budget, f"words in [{m}]^{n}")
+    u = _scan_of(u, n, m, budget)
     return _kernels.count_commuting(u, n, m)

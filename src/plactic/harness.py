@@ -181,6 +181,20 @@ def _verdict(counterexamples, complete: bool) -> str:
     return VERDICT_HOLDS if complete else VERDICT_INCOMPLETE
 
 
+def _report(conjecture: str, config: dict, t0: float, checked: int, counterexamples,
+            complete: bool, observed: dict) -> SweepReport:
+    """The report of a check that started at time.monotonic() == t0."""
+    return SweepReport(
+        conjecture=conjecture,
+        config=config,
+        checked=checked,
+        verdict=_verdict(counterexamples, complete),
+        counterexamples=tuple(counterexamples),
+        elapsed_ms=int((time.monotonic() - t0) * 1000),
+        observed=observed,
+    )
+
+
 def check_max_ri(cfg: SweepConfig) -> SweepReport:
     """For every u in range and every w in C(u) in range, the first
     (number of rows of P(u)) rows of P(w) must have entries <= max(u)."""
@@ -197,16 +211,7 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
         return None
 
     checked, cx, complete = _sweep_members(us, cfg, test)
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return SweepReport(
-        conjecture="maxri",
-        config=cfg.echo(),
-        checked=checked,
-        verdict=_verdict(cx, complete),
-        counterexamples=tuple(cx),
-        elapsed_ms=elapsed,
-        observed={"u_words": len(us)},
-    )
+    return _report("maxri", cfg.echo(), t0, checked, cx, complete, {"u_words": len(us)})
 
 
 def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
@@ -240,16 +245,7 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
         observed["K"] = bad_containment + 1 if bad_containment else 1
         observed["L"] = bad_equality + 1 if bad_equality else 1
         observed["non_containments"] = non_containments
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return SweepReport(
-        conjecture="stability",
-        config=cfg.echo(u=list(u)),
-        checked=checked,
-        verdict=VERDICT_HOLDS if complete else VERDICT_INCOMPLETE,
-        counterexamples=(),
-        elapsed_ms=elapsed,
-        observed=observed,
-    )
+    return _report("stability", cfg.echo(u=list(u)), t0, checked, (), complete, observed)
 
 
 def _coefficient_failures(n: int, coeffs: tuple) -> list:
@@ -291,16 +287,8 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
                 "w": [],
                 "detail": f"n={n}, coefficients {list(poly.coefficients)}: " + "; ".join(bad),
             })
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return SweepReport(
-        conjecture="coeffs",
-        config={"n_max": n_max, "budget": resolved},
-        checked=total,
-        verdict=_verdict(cx, True),
-        counterexamples=tuple(cx),
-        elapsed_ms=elapsed,
-        observed={"coefficients": table},
-    )
+    return _report("coeffs", {"n_max": n_max, "budget": resolved}, t0, total, cx, True,
+                   {"coefficients": table})
 
 
 def _rc_members(pairs: list, cfg: SweepConfig) -> tuple:
@@ -335,16 +323,8 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     if u and max(u) > m:
         raise MaxEntryExceedsMError(f"need max(u) <= m, got max {max(u)} with m = {m}")
     (checked, cx, complete), tableaux = _rc_members([(u, m)], cfg)
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return SweepReport(
-        conjecture="rc",
-        config=cfg.echo(u=list(u), m=m),
-        checked=checked,
-        verdict=_verdict(cx, complete),
-        counterexamples=tuple(cx),
-        elapsed_ms=elapsed,
-        observed={"c_u_tableaux": tableaux[0], "c_rc_tableaux": tableaux[1]},
-    )
+    return _report("rc", cfg.echo(u=list(u), m=m), t0, checked, cx, complete,
+                   {"c_u_tableaux": tableaux[0], "c_rc_tableaux": tableaux[1]})
 
 
 def rc_pairs(cfg: SweepConfig) -> list:
@@ -365,13 +345,4 @@ def check_rc_sweep(cfg: SweepConfig) -> SweepReport:
     t0 = time.monotonic()
     pairs = rc_pairs(cfg)
     (checked, cx, complete), _ = _rc_members(pairs, cfg)
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return SweepReport(
-        conjecture="rc",
-        config=cfg.echo(),
-        checked=checked,
-        verdict=_verdict(cx, complete),
-        counterexamples=tuple(cx),
-        elapsed_ms=elapsed,
-        observed={"pairs": len(pairs)},
-    )
+    return _report("rc", cfg.echo(), t0, checked, cx, complete, {"pairs": len(pairs)})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import BadParameterError, MaxEntryExceedsMError, WordParseError
 from .rsk import p_tableau
 from .tableau import SkewTableau, Tableau, Word, word
@@ -34,12 +36,16 @@ def bender_knuth(t: Tableau, u: int) -> Tableau:
     return Tableau(tuple(tuple(r) for r in rows))
 
 
+def _require_m(m: int) -> None:
+    if m < 0:
+        raise BadParameterError(f"m must be >= 0, got {m}")
+
+
 def rc_m(w: Word | list, m: int) -> Word:
     """Reverse and complement (v -> m - v + 1) the subword of letters <= m,
     leaving larger letters in place."""
     w = word(w)
-    if m < 0:
-        raise BadParameterError(f"m must be >= 0, got {m}")
+    _require_m(m)
     small = [v for v in w if v <= m]
     replaced = iter(m - v + 1 for v in reversed(small))
     return tuple(next(replaced) if v <= m else v for v in w)
@@ -47,6 +53,7 @@ def rc_m(w: Word | list, m: int) -> Word:
 
 def evacuation_m(t: Tableau, m: int) -> Tableau:
     """The m-evacuation of a tableau with entries <= m."""
+    _require_m(m)
     if t.max_entry() > m:
         raise MaxEntryExceedsMError(
             f"entry {t.max_entry()} exceeds m = {m}"
@@ -54,38 +61,39 @@ def evacuation_m(t: Tableau, m: int) -> Tableau:
     return p_tableau(rc_m(t.row_word(), m))
 
 
+def _cut(t: Tableau, m: int) -> list:
+    """The number of entries <= m in each row of t.  Since the columns of
+    t strictly increase, this is a partition padded with zeros."""
+    _require_m(m)
+    return [bisect_right(row, m) for row in t.rows]
+
+
+def _low(t: Tableau, cut: list) -> Tableau:
+    """The row prefixes that the cut keeps: a tableau, as cut is a partition."""
+    return Tableau._unchecked(tuple(row[:k] for row, k in zip(t.rows, cut) if k))
+
+
 def split_at(t: Tableau, m: int):
-    """Cut a tableau into its entries <= m (a straight tableau) and the
-    rest (a skew tableau on the leftover cells)."""
-    low_rows = []
-    for row in t.rows:
-        low_rows.append(tuple(v for v in row if v <= m))
-    while low_rows and not low_rows[-1]:
-        low_rows.pop()
-    low = Tableau(tuple(low_rows))
-    inner = tuple(sum(1 for v in row if v <= m) for row in t.rows)
-    high_rows = tuple(tuple(v for v in row if v > m) for row in t.rows)
-    keep = len(high_rows)
-    while keep and not high_rows[keep - 1]:
-        keep -= 1
-    if keep == 0:
-        return low, SkewTableau((), (), ())
-    return low, SkewTableau(t.shape[:keep], inner[:keep], high_rows[:keep])
+    """Cut each row of a tableau after its entries <= m.  The prefixes
+    form a straight tableau; the suffixes form a skew tableau of outer
+    shape t.shape over the cut, both cut off after the last row with an
+    entry > m."""
+    cut = _cut(t, m)
+    keep = max((i + 1 for i, (row, k) in enumerate(zip(t.rows, cut)) if k < len(row)), default=0)
+    high = tuple(row[k:] for row, k in zip(t.rows[:keep], cut))
+    return _low(t, cut), SkewTableau(t.shape[:keep], cut[:keep], high)
 
 
 def tau_m(t: Tableau, m: int) -> Tableau:
     """Evacuate the entries <= m in place, leaving the larger entries
-    where they are."""
-    low, high = split_at(t, m)
+    where they are: the row prefixes of entries <= m are evacuated as one
+    tableau, and each row's suffix follows its new prefix."""
+    cut = _cut(t, m)
+    low = _low(t, cut)
     evac = evacuation_m(low, m)
     if evac.shape != low.shape:
         raise MaxEntryExceedsMError(
             f"evacuation changed shape {low.shape} -> {evac.shape}"
         )
-    rows = []
-    n_rows = max(len(evac.rows), len(high.rows))
-    for i in range(n_rows):
-        small = evac.rows[i] if i < len(evac.rows) else ()
-        big = high.rows[i] if i < len(high.rows) else ()
-        rows.append(small + big)
-    return Tableau(tuple(rows))
+    prefixes = evac.rows + ((),) * (len(cut) - len(evac.rows))
+    return Tableau(e + row[k:] for e, row, k in zip(prefixes, t.rows, cut))

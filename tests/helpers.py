@@ -4,8 +4,11 @@ Everything here is deliberately written from the definitions, sharing no
 code with the library: straight-line insertion without binary search,
 brute-force subsequence scans, and exhaustive filling enumeration.  The sweep
 references replay, word by word, what the conjecture sweeps compute by
-member tableau.  The one exception, ``rectify_lowest_corner_first``, runs
-the library's single jeu de taquin slide in a corner order of its own.
+member tableau.  Three build on the library: ``rectify_lowest_corner_first``
+runs its single jeu de taquin slide in a corner order of its own, and
+``split_at_oracle`` and ``tau_m_oracle`` split a tableau by filtering its
+rows and glue the evacuated part back row by row on its Tableau,
+SkewTableau and evacuation_m.
 """
 
 from __future__ import annotations
@@ -202,3 +205,37 @@ def rectify_lowest_corner_first(skew):
     t = s.to_tableau()  # BadShapeError if a blank is left
     assert t == rectify(skew), skew
     return t
+
+
+def split_at_oracle(t, m):
+    """(entries <= m as a tableau, the rest as a skew tableau), each row
+    filtered by value and empty rows trimmed from the bottom."""
+    from plactic import SkewTableau, Tableau
+
+    low_rows = [tuple(v for v in row if v <= m) for row in t.rows]
+    while low_rows and not low_rows[-1]:
+        low_rows.pop()
+    inner = tuple(sum(1 for v in row if v <= m) for row in t.rows)
+    high_rows = tuple(tuple(v for v in row if v > m) for row in t.rows)
+    keep = len(high_rows)
+    while keep and not high_rows[keep - 1]:
+        keep -= 1
+    if keep == 0:
+        return Tableau(low_rows), SkewTableau((), (), ())
+    return Tableau(low_rows), SkewTableau(t.shape[:keep], inner[:keep], high_rows[:keep])
+
+
+def tau_m_oracle(t, m):
+    """tau_m by splitting at m, evacuating the straight part and gluing
+    its rows to the skew part's, one row at a time."""
+    from plactic import Tableau, evacuation_m
+
+    low, high = split_at_oracle(t, m)
+    evac = evacuation_m(low, m)
+    assert evac.shape == low.shape, (t, m)
+    rows = []
+    for i in range(max(len(evac.rows), len(high.rows))):
+        small = evac.rows[i] if i < len(evac.rows) else ()
+        big = high.rows[i] if i < len(high.rows) else ()
+        rows.append(small + big)
+    return Tableau(rows)

@@ -68,6 +68,9 @@ BAD_INPUTS = (
     (plactic.BadParameterError, lambda: plactic.check_coefficients(1)),
     (plactic.MaxEntryExceedsMError, lambda: plactic.check_rc((3,), 2, plactic.SweepConfig(conjecture="rc"))),
     (plactic.BadParameterError, lambda: plactic.rc_m((1,), -1)),
+    (plactic.BadParameterError, lambda: plactic.evacuation_m(plactic.Tableau(()), -1)),
+    (plactic.BadParameterError, lambda: plactic.tau_m(plactic.Tableau(((1,),)), -1)),
+    (plactic.BadParameterError, lambda: plactic.split_at(plactic.Tableau(((1,),)), -1)),
 )
 
 
@@ -136,3 +139,13 @@ def test_every_specific_error_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert declared - raised - {"PlacticError", "TableauError"} == set()
+
+
+def test_harness_builds_its_reports_in_one_place():
+    """harness.py calls SweepReport(...) once, in the report builder that
+    every check returns through."""
+    calls = [
+        node for node in ast.walk(_modules()["harness.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SweepReport"
+    ]
+    assert len(calls) == 1

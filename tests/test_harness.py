@@ -153,6 +153,36 @@ def test_report_serialization_is_canonical():
     )
 
 
+class _SteppingClock:
+    """Stands in for harness's time module: each read of the clock is
+    0.25 s after the one before."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 0.25
+        return self.now
+
+
+# One run of each of the five checks.
+EACH_CHECK = [GOLDEN_REPORTS[i][0] for i in (0, 1, 4, 5)] + [lambda: check_coefficients(4)]
+
+
+@pytest.mark.parametrize("run", EACH_CHECK)
+def test_elapsed_ms_is_measured_and_pinned_in_json(run, monkeypatch):
+    """A check reads the clock at its start and at its end; the report
+    keeps the 250 ms between, and its JSON still shows 0."""
+    import plactic.harness as harness
+
+    unpatched = run().to_json()
+    monkeypatch.setattr(harness, "time", _SteppingClock())
+    report = run()
+    assert report.elapsed_ms == 250
+    assert report.to_json() == unpatched
+    assert '"elapsed_ms":0,' in unpatched
+
+
 def test_words_up_to():
     got = list(words_up_to(2, 2))
     assert got == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]

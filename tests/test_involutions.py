@@ -15,7 +15,7 @@ from plactic import (
 from plactic.enumeration import iter_ssyt
 from plactic.tableau import iter_partitions
 
-from helpers import words_over
+from helpers import split_at_oracle, tau_m_oracle, words_over
 
 
 def all_tableaux(max_cells, max_entry, min_cells=0):
@@ -167,6 +167,21 @@ def test_split_at_examples():
     assert low.rows == ()
     assert high.inner == ()
     assert high.rows == t.rows
+
+
+def test_split_and_tau_match_the_filter_oracles():
+    """The row cut gives the filter-and-glue results, outer and inner
+    shapes included, on every SSYT with <= 6 cells and entries <= 5."""
+    cases = 0
+    for t in all_tableaux(6, 5):
+        for m in range(7):
+            low, high = split_at(t, m)
+            want_low, want_high = split_at_oracle(t, m)
+            assert low == want_low, (t, m)
+            assert (high.outer, high.inner, high.rows) == (want_high.outer, want_high.inner, want_high.rows), (t, m)
+            assert tau_m(t, m) == tau_m_oracle(t, m), (t, m)
+            cases += 1
+    assert cases == 21_679
 
 
 def test_tau_examples():
