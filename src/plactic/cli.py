@@ -59,7 +59,8 @@ COMMANDS = {
         ("--w-alphabet", _int(default=4)),
         ("--w-length", _int(default=4)),
         ("--k-bound", _int(default=4)),
-        ("--shards", _int(default=1)),
+        # read by nothing; kept only while perfbench/workloads.py SWEEP_FLAGS passes it
+        ("--shards", _int(default=1, help="accepted and ignored")),
         ("--budget", _int()),
         ("--n-max", _int(default=8, help="for coeffs")),
     ]),
@@ -113,15 +114,17 @@ def _report_exit(report: SweepReport) -> int:
 
 
 def _run_conjecture(args) -> int:
+    if args.which == "coeffs":
+        report = check_coefficients(args.n_max, budget=args.budget)
+        _print_report(report, args.json)
+        return _report_exit(report)
     cfg = SweepConfig(
-        conjecture=args.which, u_alphabet=args.u_alphabet, u_length=args.u_length,
-        u_sum_bound=args.u_sum, w_alphabet=args.w_alphabet, w_length=args.w_length,
-        k_bound=args.k_bound, shards=args.shards, budget=args.budget,
+        u_alphabet=args.u_alphabet, u_length=args.u_length, u_sum_bound=args.u_sum,
+        w_alphabet=args.w_alphabet, w_length=args.w_length, k_bound=args.k_bound,
+        budget=args.budget,
     )
     if args.which == "maxri":
         report = check_max_ri(cfg)
-    elif args.which == "coeffs":
-        report = check_coefficients(args.n_max, budget=args.budget)
     elif args.u is not None:
         u = parse_word(args.u)
         if args.which == "stability":

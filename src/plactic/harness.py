@@ -39,22 +39,18 @@ class SweepConfig:
     u ranges over words with letters in [u_alphabet], 1 <= |u| <= u_length
     and, when u_sum_bound is set, max(u) + |u| <= u_sum_bound; w ranges
     over all words with letters in [w_alphabet] and |w| <= w_length.
-    ``shards`` is validated for compatibility but read by nothing: every
-    sweep runs in one process.
     """
 
-    conjecture: str
     u_alphabet: int = 4
     u_length: int = 4
     u_sum_bound: int | None = None
     w_alphabet: int = 4
     w_length: int = 4
     k_bound: int = 4
-    shards: int = 1
     budget: int | None = None
 
     def __post_init__(self):
-        for name in ("u_alphabet", "u_length", "w_alphabet", "w_length", "k_bound", "shards"):
+        for name in ("u_alphabet", "u_length", "w_alphabet", "w_length", "k_bound"):
             if getattr(self, name) < 1:
                 raise BadParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.u_sum_bound is not None and self.u_sum_bound < 1:
@@ -66,7 +62,6 @@ class SweepConfig:
         return self.budget if self.budget is not None else default_budget()
 
     def echo(self, **extra) -> dict:
-        # shards never reach the report
         out = {
             "u_alphabet": self.u_alphabet,
             "u_length": self.u_length,

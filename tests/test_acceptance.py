@@ -252,22 +252,22 @@ def test_criterion_08_involutions(capsys):
 def test_criterion_09_conjecture_reproduction(capsys):
     with criterion(capsys, 9, "conjecture sweeps at desk scale"):
         cfg = SweepConfig(
-            "maxri", u_alphabet=6, u_length=6, u_sum_bound=7, w_alphabet=4, w_length=5
+            u_alphabet=6, u_length=6, u_sum_bound=7, w_alphabet=4, w_length=5
         )
         report = check_max_ri(cfg)
         assert report.verdict == "holds"
         assert report.checked == 285285
         assert report.observed == {"u_words": 209}
 
-        stab_cfg = SweepConfig("stability", w_alphabet=4, w_length=5, k_bound=4)
-        small_us = _u_range(SweepConfig("stability", u_alphabet=4, u_length=4, u_sum_bound=5))
+        stab_cfg = SweepConfig(w_alphabet=4, w_length=5, k_bound=4)
+        small_us = _u_range(SweepConfig(u_alphabet=4, u_length=4, u_sum_bound=5))
         assert len(small_us) == 22
         for u in small_us:
             rep = check_stability(u, stab_cfg)
             assert rep.verdict == "holds"
             assert rep.observed["K"] == 1, u
         big = check_stability(
-            (1, 2, 3, 4, 5), SweepConfig("stability", w_alphabet=5, w_length=6, k_bound=5)
+            (1, 2, 3, 4, 5), SweepConfig(w_alphabet=5, w_length=6, k_bound=5)
         )
         assert big.verdict == "holds"
         assert big.observed["K"] == 3
@@ -280,7 +280,7 @@ def test_criterion_09_conjecture_reproduction(capsys):
         assert coeff.checked == 7
 
         rc_cfg = SweepConfig(
-            "rc", u_alphabet=6, u_length=6, u_sum_bound=7, w_alphabet=4, w_length=4
+            u_alphabet=6, u_length=6, u_sum_bound=7, w_alphabet=4, w_length=4
         )
         rc_rep = check_rc_sweep(rc_cfg)
         assert rc_rep.verdict == "holds"
@@ -288,40 +288,46 @@ def test_criterion_09_conjecture_reproduction(capsys):
         assert rc_rep.checked == 210056
 
 
+def test_criterion_10_backend_determinism(capsys, reload_kernels):
+    with criterion(capsys, 10, "reports identical under the pure and C backends"):
+        checks = (
+            lambda: check_max_ri(SweepConfig(
+                u_alphabet=3, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=4)),
+            lambda: check_stability((1, 2), SweepConfig(w_alphabet=3, w_length=4)),
+            # a non-containment, whose witness comes from class_words
+            lambda: check_stability((1, 2, 3, 4, 5), SweepConfig(
+                w_alphabet=5, w_length=5, k_bound=3)),
+            lambda: check_rc((1,), 2, SweepConfig(w_alphabet=3, w_length=4)),
+            lambda: check_rc_sweep(SweepConfig(
+                u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3)),
+            # claim (d) fails at n = 10
+            lambda: check_coefficients(10),
+        )
+        assert reload_kernels("1").BACKEND == "pure"
+        pure = [check().to_json() for check in checks]
+        assert reload_kernels(None).BACKEND == "c"
+        assert [check().to_json() for check in checks] == pure
+        assert '"non_containments":[{"k":2' in pure[2]
+        assert '"verdict":"counterexample"' in pure[5]
+
+
 def test_criterion_10_shard_determinism(capsys):
-    with criterion(capsys, 10, "reports identical across shard counts"):
-        variants = [
-            check_max_ri(
-                SweepConfig(
-                    "maxri", u_alphabet=3, u_length=3, u_sum_bound=5,
-                    w_alphabet=3, w_length=4, shards=s,
-                )
-            ).to_json()
-            for s in (1, 2, 5)
-        ]
-        assert len(set(variants)) == 1
-        variants = [
-            check_stability(
-                (1, 2), SweepConfig("stability", w_alphabet=3, w_length=4, shards=s)
-            ).to_json()
-            for s in (1, 3)
-        ]
-        assert len(set(variants)) == 1
-        variants = [
-            check_rc(
-                (1,), 2, SweepConfig("rc", w_alphabet=3, w_length=4, shards=s)
-            ).to_json()
-            for s in (1, 4)
-        ]
-        assert len(set(variants)) == 1
-        variants = [
-            check_rc_sweep(
-                SweepConfig(
-                    "rc", u_alphabet=2, u_length=2, u_sum_bound=4,
-                    w_alphabet=3, w_length=3, shards=s,
-                )
-            ).to_json()
-            for s in (1, 2)
-        ]
-        assert len(set(variants)) == 1
-        assert check_coefficients(6).to_json() == check_coefficients(6).to_json()
+    # --shards is accepted and ignored; every sweep prints the same bytes
+    # whatever count it is given, and the same as without the flag.
+    sweeps = (
+        ["maxri", "--u-alphabet", "3", "--u-length", "3", "--u-sum", "5",
+         "--w-alphabet", "3", "--w-length", "4"],
+        ["stability", "--u", "12", "--w-alphabet", "3", "--w-length", "4"],
+        ["rc", "--u", "1", "--m", "2", "--w-alphabet", "3", "--w-length", "4"],
+        ["rc", "--u-alphabet", "2", "--u-length", "2", "--u-sum", "4",
+         "--w-alphabet", "3", "--w-length", "3"],
+        ["coeffs", "--n-max", "6"],
+    )
+    with criterion(capsys, 10, "reports identical across --shards counts"):
+        for argv in sweeps:
+            outputs = []
+            for shards in ([], ["--shards", "1"], ["--shards", "2"], ["--shards", "5"]):
+                assert cli_dispatch(["conjecture", *argv, "--json", *shards]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert len(set(outputs)) == 1, argv
+            assert '"verdict":"holds"' in outputs[0], argv

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import pathlib
 
@@ -52,6 +53,8 @@ BAD_INPUTS = (
     (plactic.WordParseError, lambda: plactic.count_centralizer_words((0,), 2, 2)),
     (plactic.WordParseError, lambda: plactic.in_centralizer((0,), (1,))),
     (plactic.WordParseError, lambda: plactic.rsk_pair((1, -2))),
+    (plactic.WordParseError, lambda: plactic.row_insert(plactic.Tableau(()), 0)),
+    (plactic.UnsupportedFamilyError, lambda: plactic.Family("bogus").constrained_rows),
     (plactic.BadShapeError, lambda: plactic.ssyt_count((1, 2), 3)),
     (plactic.BadShapeError, lambda: plactic.f_lambda((1, 2))),
     (plactic.BadShapeError, lambda: list(plactic.iter_ssyt((1, 2), 3))),
@@ -62,11 +65,11 @@ BAD_INPUTS = (
     (plactic.BadParameterError, lambda: plactic.count_by_shapes(plactic.single(1), -1, 2)),
     (plactic.BadParameterError, lambda: plactic.count_by_shapes(plactic.single(1), 2, -1)),
     (plactic.BadParameterError, lambda: plactic.expand_binomial((3, 2, 1), 1)),
-    (plactic.BadParameterError, lambda: plactic.SweepConfig(conjecture="maxri", w_length=0)),
-    (plactic.BadParameterError, lambda: plactic.SweepConfig(conjecture="maxri", u_sum_bound=0)),
-    (plactic.BadParameterError, lambda: plactic.SweepConfig(conjecture="maxri", budget=0)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(w_length=0)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(u_sum_bound=0)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(budget=0)),
     (plactic.BadParameterError, lambda: plactic.check_coefficients(1)),
-    (plactic.MaxEntryExceedsMError, lambda: plactic.check_rc((3,), 2, plactic.SweepConfig(conjecture="rc"))),
+    (plactic.MaxEntryExceedsMError, lambda: plactic.check_rc((3,), 2, plactic.SweepConfig())),
     (plactic.BadParameterError, lambda: plactic.rc_m((1,), -1)),
     (plactic.BadParameterError, lambda: plactic.evacuation_m(plactic.Tableau(()), -1)),
     (plactic.BadParameterError, lambda: plactic.tau_m(plactic.Tableau(((1,),)), -1)),
@@ -149,3 +152,21 @@ def test_harness_builds_its_reports_in_one_place():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "SweepReport"
     ]
     assert len(calls) == 1
+
+
+def test_every_sweep_setting_is_read():
+    """Each SweepConfig field is read in harness.py: as cfg.<field> in a
+    function, or as self.<field> in a SweepConfig method other than the
+    validation in __post_init__."""
+    scopes = []
+    for node in _modules()["harness.py"].body:
+        if isinstance(node, ast.FunctionDef):
+            scopes.append(("cfg", node))
+        elif isinstance(node, ast.ClassDef) and node.name == "SweepConfig":
+            scopes += [("self", f) for f in node.body
+                       if isinstance(f, ast.FunctionDef) and f.name != "__post_init__"]
+    read = {
+        attr.attr for owner, scope in scopes for attr in ast.walk(scope)
+        if isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name) and attr.value.id == owner
+    }
+    assert {f.name for f in dataclasses.fields(plactic.SweepConfig)} - read == set()

@@ -231,6 +231,25 @@ def test_conjecture_coeffs(capsys):
     assert payload["observed"]["coefficients"]["5"] == [0, 1, 8, 13, 1]
 
 
+COEFFS = ["conjecture", "coeffs", "--n-max", "3", "--json"]
+MAXRI = ["conjecture", "maxri", "--json", "--u-alphabet", "2", "--u-length", "2",
+         "--w-alphabet", "2", "--w-length", "3"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (COEFFS, ["--w-length", "0"]),
+    (COEFFS, ["--shards", "0"]),
+    (MAXRI, ["--shards", "0"]),
+])
+def test_conjecture_ignores_flags_it_never_reads(capsys, argv, flag):
+    """coeffs reads only --n-max and --budget, and no sweep reads --shards:
+    such a flag, even out of range, changes neither the exit code nor a
+    byte of the output."""
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    assert run(capsys, *argv, *flag) == plain
+
+
 def test_conjecture_rc_with_u(capsys):
     code, out, _ = run(
         capsys,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from plactic import (
@@ -15,6 +17,7 @@ from plactic import (
 )
 from plactic.centralizer import require_budget
 from plactic.enumeration import iter_ssyt
+from plactic.cli import cli_dispatch
 from plactic.harness import (
     _coefficient_failures,
     _u_range,
@@ -35,14 +38,14 @@ GOLDEN_BUDGET = 10**6
 GOLDEN_REPORTS = [
     (
         lambda: check_max_ri(SweepConfig(
-            "maxri", u_alphabet=3, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)),
+            u_alphabet=3, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)),
         '{"checked":1452,"config":{"budget":1000000,"k_bound":4,"u_alphabet":3,"u_length":2,'
         '"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"maxri",'
         '"counterexamples":[],"elapsed_ms":0,"observed":{"u_words":12},"verdict":"holds"}',
     ),
     (
         lambda: check_stability((1, 2), SweepConfig(
-            "stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
+            w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
         '{"checked":363,"config":{"budget":1000000,"k_bound":3,"u":[1,2],"u_alphabet":4,'
         '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"stability",'
         '"counterexamples":[],"elapsed_ms":0,"observed":{"K":1,"L":1,"non_containments":[],'
@@ -50,7 +53,7 @@ GOLDEN_REPORTS = [
     ),
     (
         lambda: check_stability((2, 1, 2), SweepConfig(
-            "stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
+            w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
         '{"checked":363,"config":{"budget":1000000,"k_bound":3,"u":[2,1,2],"u_alphabet":4,'
         '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"stability",'
         '"counterexamples":[],"elapsed_ms":0,"observed":{"K":1,"L":1,"non_containments":[],'
@@ -58,7 +61,7 @@ GOLDEN_REPORTS = [
     ),
     (
         lambda: check_stability((1, 2, 3), SweepConfig(
-            "stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
+            w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)),
         '{"checked":363,"config":{"budget":1000000,"k_bound":3,"u":[1,2,3],"u_alphabet":4,'
         '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"stability",'
         '"counterexamples":[],"elapsed_ms":0,"observed":{"K":1,"L":2,"non_containments":[],'
@@ -66,7 +69,7 @@ GOLDEN_REPORTS = [
     ),
     (
         lambda: check_rc((1,), 2, SweepConfig(
-            "rc", w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)),
+            w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)),
         '{"checked":242,"config":{"budget":1000000,"k_bound":4,"m":2,"u":[1],"u_alphabet":4,'
         '"u_length":4,"u_sum_bound":null,"w_alphabet":3,"w_length":4},"conjecture":"rc",'
         '"counterexamples":[],"elapsed_ms":0,"observed":{"c_rc_tableaux":16,"c_u_tableaux":16},'
@@ -74,7 +77,7 @@ GOLDEN_REPORTS = [
     ),
     (
         lambda: check_rc_sweep(SweepConfig(
-            "rc", u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3,
+            u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3,
             budget=GOLDEN_BUDGET)),
         '{"checked":800,"config":{"budget":1000000,"k_bound":4,"u_alphabet":2,"u_length":2,'
         '"u_sum_bound":4,"w_alphabet":3,"w_length":3},"conjecture":"rc","counterexamples":[],'
@@ -109,30 +112,32 @@ KNOWN_COEFFS = {
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SweepConfig("maxri", u_alphabet=0)
+        SweepConfig(u_alphabet=0)
     with pytest.raises(ValueError):
-        SweepConfig("maxri", w_length=0)
+        SweepConfig(w_length=0)
     with pytest.raises(ValueError):
-        SweepConfig("maxri", shards=0)
+        SweepConfig(budget=0)
     with pytest.raises(ValueError):
-        SweepConfig("maxri", budget=0)
-    with pytest.raises(ValueError):
-        SweepConfig("maxri", u_sum_bound=0)
-    SweepConfig("maxri", u_sum_bound=None, budget=None)
+        SweepConfig(u_sum_bound=0)
+    SweepConfig(u_sum_bound=None, budget=None)
+    for removed in ("conjecture", "shards"):
+        with pytest.raises(TypeError):
+            SweepConfig(**{removed: 1})
 
 
 def test_config_echo_excludes_shards():
-    cfg = SweepConfig("maxri", shards=5, budget=77)
+    cfg = SweepConfig(budget=77)
     echo = cfg.echo()
-    assert "shards" not in echo
+    assert list(echo) == [f.name for f in dataclasses.fields(SweepConfig)] == [
+        "u_alphabet", "u_length", "u_sum_bound", "w_alphabet", "w_length", "k_bound", "budget"]
     assert echo["budget"] == 77
     assert cfg.echo(u=[1, 2])["u"] == [1, 2]
 
 
 def test_config_budget_env(monkeypatch):
     monkeypatch.setenv("PLACTIC_BUDGET", "123")
-    assert SweepConfig("maxri").resolved_budget() == 123
-    assert SweepConfig("maxri", budget=9).resolved_budget() == 9
+    assert SweepConfig().resolved_budget() == 123
+    assert SweepConfig(budget=9).resolved_budget() == 9
 
 
 def test_report_serialization_is_canonical():
@@ -201,7 +206,7 @@ def test_count_words_up_to_is_the_geometric_sum():
 def test_huge_sweep_is_refused_by_the_budget():
     """A pair count with more digits than Python prints is still a
     BudgetExceeded."""
-    cfg = SweepConfig("maxri", u_alphabet=1, u_length=1, w_alphabet=2, w_length=20000)
+    cfg = SweepConfig(u_alphabet=1, u_length=1, w_alphabet=2, w_length=20000)
     with pytest.raises(BudgetExceededError, match=r"pairs in the sweep: at least 2\^20000, over"):
         check_max_ri(cfg)
 
@@ -216,7 +221,7 @@ def test_each_sweep_checks_its_budget_once(monkeypatch):
         return require_budget(total, budget, what)
 
     monkeypatch.setattr(harness, "require_budget", recording)
-    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, w_alphabet=2, w_length=2, k_bound=3)
+    cfg = SweepConfig(u_alphabet=2, u_length=2, w_alphabet=2, w_length=2, k_bound=3)
     check_max_ri(cfg)
     check_stability((1,), cfg)
     check_rc((1,), 2, cfg)
@@ -226,9 +231,9 @@ def test_each_sweep_checks_its_budget_once(monkeypatch):
 
 
 def test_u_range_applies_sum_bound():
-    cfg = SweepConfig("maxri", u_alphabet=3, u_length=3, u_sum_bound=3)
+    cfg = SweepConfig(u_alphabet=3, u_length=3, u_sum_bound=3)
     assert _u_range(cfg) == [(1,), (2,), (1, 1)]
-    cfg = SweepConfig("maxri", u_alphabet=2, u_length=1)
+    cfg = SweepConfig(u_alphabet=2, u_length=1)
     assert _u_range(cfg) == [(1,), (2,)]
 
 
@@ -246,11 +251,11 @@ def test_require_budget(monkeypatch):
     monkeypatch.setenv("PLACTIC_BUDGET", "7")
     assert require_budget(7, None, "pairs") == 7
     with pytest.raises(BudgetExceededError, match="pairs in the sweep: 30, over the budget 7"):
-        check_max_ri(SweepConfig("maxri", u_alphabet=2, u_length=1, w_alphabet=2, w_length=3))
+        check_max_ri(SweepConfig(u_alphabet=2, u_length=1, w_alphabet=2, w_length=3))
 
 
 def test_max_ri_small_sweep():
-    cfg = SweepConfig("maxri", u_alphabet=2, u_length=2, w_alphabet=2, w_length=3)
+    cfg = SweepConfig(u_alphabet=2, u_length=2, w_alphabet=2, w_length=3)
     report = check_max_ri(cfg)
     assert report.verdict == "holds"
     assert report.checked == 6 * 15
@@ -260,24 +265,33 @@ def test_max_ri_small_sweep():
 
 
 def test_max_ri_budget():
-    cfg = SweepConfig("maxri", u_alphabet=2, u_length=2, w_alphabet=2, w_length=3, budget=10)
+    cfg = SweepConfig(u_alphabet=2, u_length=2, w_alphabet=2, w_length=3, budget=10)
     with pytest.raises(BudgetExceededError):
         check_max_ri(cfg)
 
 
-def test_max_ri_shard_independence():
-    reports = [
-        check_max_ri(
-            SweepConfig("maxri", u_alphabet=3, u_length=2, w_alphabet=3, w_length=3, shards=s)
-        )
-        for s in (1, 2, 7)
-    ]
-    blobs = {r.to_json() for r in reports}
-    assert len(blobs) == 1
+def _reports_across_shards(capsys, argv, counts):
+    """The distinct outputs of ``plactic conjecture ... --json`` under each
+    ``--shards`` count.  The flag is accepted and ignored, so there is one."""
+    blobs = set()
+    for s in counts:
+        assert cli_dispatch(["conjecture", *argv, "--json", "--shards", str(s)]) == 0
+        blobs.add(capsys.readouterr().out)
+    return blobs
+
+
+def test_max_ri_shard_independence(capsys):
+    blobs = _reports_across_shards(
+        capsys,
+        ["maxri", "--u-alphabet", "3", "--u-length", "2", "--w-alphabet", "3", "--w-length", "3"],
+        (1, 2, 7),
+    )
+    cfg = SweepConfig(u_alphabet=3, u_length=2, w_alphabet=3, w_length=3)
+    assert blobs == {check_max_ri(cfg).to_json() + "\n"}
 
 
 def test_stability_single_letter():
-    cfg = SweepConfig("stability", w_alphabet=3, w_length=4, k_bound=3)
+    cfg = SweepConfig(w_alphabet=3, w_length=4, k_bound=3)
     report = check_stability((2,), cfg)
     assert report.verdict == "holds"
     assert report.observed["K"] == 1
@@ -293,9 +307,19 @@ def test_stability_single_letter():
     assert report.checked == 3 * count_words_up_to(3, 4)
 
 
+def test_stability_shard_independence(capsys):
+    blobs = _reports_across_shards(
+        capsys,
+        ["stability", "--u", "12", "--w-alphabet", "3", "--w-length", "3", "--k-bound", "3"],
+        (1, 4),
+    )
+    cfg = SweepConfig(w_alphabet=3, w_length=3, k_bound=3)
+    assert blobs == {check_stability((1, 2), cfg).to_json() + "\n"}
+
+
 def test_stability_bookkeeping_matches_direct_sets():
     u = (1, 2)
-    cfg = SweepConfig("stability", w_alphabet=3, w_length=4, k_bound=3)
+    cfg = SweepConfig(w_alphabet=3, w_length=4, k_bound=3)
     report = check_stability(u, cfg)
     sets = [
         {w for w in words_up_to(3, 4) if in_centralizer(u * k, w)}
@@ -318,7 +342,7 @@ def test_stability_reports_non_containments_but_still_holds(monkeypatch):
         return [t for lam in iter_partitions(n) for t in iter_ssyt(lam, m)]
 
     monkeypatch.setattr(harness, "centralizer_tableaux", fake)
-    cfg = SweepConfig("stability", w_alphabet=2, w_length=2, k_bound=3)
+    cfg = SweepConfig(w_alphabet=2, w_length=2, k_bound=3)
     report = check_stability((9,), cfg)
     assert report.verdict == "holds"
     assert report.observed["K"] == 2
@@ -341,7 +365,7 @@ def test_stability_interrupt_marks_incomplete(monkeypatch):
         return [t for lam in iter_partitions(n) for t in iter_ssyt(lam, m)]
 
     monkeypatch.setattr(harness, "centralizer_tableaux", flaky)
-    cfg = SweepConfig("stability", w_alphabet=2, w_length=2, k_bound=2)
+    cfg = SweepConfig(w_alphabet=2, w_length=2, k_bound=2)
     report = check_stability((1,), cfg)
     assert report.verdict == "incomplete"
     assert report.checked == (1 + 2 + 4) + 1
@@ -365,7 +389,7 @@ def test_rc_sweep_interrupt_marks_incomplete(monkeypatch):
         return real(u, n, m, budget=budget)
 
     monkeypatch.setattr(harness, "centralizer_tableaux", flaky)
-    cfg = SweepConfig("rc", u_alphabet=2, u_length=1, u_sum_bound=3, w_alphabet=2, w_length=2)
+    cfg = SweepConfig(u_alphabet=2, u_length=1, u_sum_bound=3, w_alphabet=2, w_length=2)
     # sides (1,) (1,) | (1,) (2,) | (2,) (1,): the first three share one
     # fill per length, the fourth is interrupted after its n = 0 block
     assert rc_pairs(cfg) == [((1,), 1), ((1,), 2), ((2,), 2)]
@@ -374,15 +398,6 @@ def test_rc_sweep_interrupt_marks_incomplete(monkeypatch):
     assert report.checked == 3 * (1 + 2 + 4) + 1
     assert report.counterexamples == ()
     assert report.observed == {"pairs": 3}
-
-
-def test_stability_shard_independence():
-    cfgs = [
-        SweepConfig("stability", w_alphabet=3, w_length=3, k_bound=3, shards=s)
-        for s in (1, 4)
-    ]
-    blobs = {check_stability((1, 2), cfg).to_json() for cfg in cfgs}
-    assert len(blobs) == 1
 
 
 def test_coefficients_reproduce_printed_table():
@@ -432,8 +447,18 @@ def test_coefficient_failure_messages():
     assert kinds == {"(b)", "(c)", "(d)"}
 
 
+def test_rc_shard_independence(capsys):
+    blobs = _reports_across_shards(
+        capsys,
+        ["rc", "--u", "1", "--m", "2", "--w-alphabet", "3", "--w-length", "3"],
+        (1, 3),
+    )
+    cfg = SweepConfig(w_alphabet=3, w_length=3)
+    assert blobs == {check_rc((1,), 2, cfg).to_json() + "\n"}
+
+
 def test_rc_trivial_self_dual():
-    cfg = SweepConfig("rc", w_alphabet=2, w_length=3)
+    cfg = SweepConfig(w_alphabet=2, w_length=3)
     report = check_rc((1,), 1, cfg)
     assert report.verdict == "holds"
     assert report.config["u"] == [1]
@@ -442,13 +467,13 @@ def test_rc_trivial_self_dual():
 
 
 def test_rc_requires_m_at_least_max_u():
-    cfg = SweepConfig("rc", w_alphabet=2, w_length=2)
+    cfg = SweepConfig(w_alphabet=2, w_length=2)
     with pytest.raises(ValueError):
         check_rc((3,), 2, cfg)
 
 
 def test_rc_swapping_u_and_complement_mirrors_the_report():
-    cfg = SweepConfig("rc", w_alphabet=3, w_length=4)
+    cfg = SweepConfig(w_alphabet=3, w_length=4)
     left = check_rc((1,), 2, cfg)
     right = check_rc((2,), 2, cfg)
     assert left.verdict == right.verdict == "holds"
@@ -458,14 +483,14 @@ def test_rc_swapping_u_and_complement_mirrors_the_report():
 
 
 def test_rc_self_complementary_u():
-    cfg = SweepConfig("rc", w_alphabet=3, w_length=4)
+    cfg = SweepConfig(w_alphabet=3, w_length=4)
     report = check_rc((1, 2), 2, cfg)
     assert report.verdict == "holds"
     assert report.observed["c_u_tableaux"] == report.observed["c_rc_tableaux"]
 
 
 def test_rc_pairs_ranges():
-    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, u_sum_bound=4)
+    cfg = SweepConfig(u_alphabet=2, u_length=2, u_sum_bound=4)
     pairs = rc_pairs(cfg)
     assert pairs == [
         ((1,), 1),
@@ -479,12 +504,12 @@ def test_rc_pairs_ranges():
         ((2, 1), 2),
         ((2, 2), 2),
     ]
-    cfg = SweepConfig("rc", u_alphabet=2, u_length=1)
+    cfg = SweepConfig(u_alphabet=2, u_length=1)
     assert rc_pairs(cfg) == [((1,), 1), ((2,), 2)]
 
 
 def test_rc_sweep_merges_pairs():
-    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, u_sum_bound=3, w_alphabet=2, w_length=3)
+    cfg = SweepConfig(u_alphabet=2, u_length=2, u_sum_bound=3, w_alphabet=2, w_length=3)
     report = check_rc_sweep(cfg)
     assert report.verdict == "holds"
     assert report.observed == {"pairs": 4}
@@ -503,22 +528,12 @@ def test_rc_sweep_fills_each_side_word_once_per_length(monkeypatch):
         return real(u, n, m)
 
     monkeypatch.setattr(kernels, "commuting_tableaux", counted)
-    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=2, w_length=3)
+    cfg = SweepConfig(u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=2, w_length=3)
     sides = {side for u, m in rc_pairs(cfg) for side in (u, rc_m(u, m))}
     report = check_rc_sweep(cfg)
     assert report.verdict == "holds"
     assert 2 * len(rc_pairs(cfg)) > len(sides)
     assert len(calls) == len(set(calls)) == len(sides) * (cfg.w_length + 1)
-
-
-def test_rc_shard_independence():
-    blobs = {
-        check_rc(
-            (1,), 2, SweepConfig("rc", w_alphabet=3, w_length=3, shards=s)
-        ).to_json()
-        for s in (1, 3)
-    }
-    assert len(blobs) == 1
 
 
 # The sweeps test each member tableau once and expand only the failing ones
@@ -532,7 +547,7 @@ def test_max_ri_counterexamples_match_the_per_word_sweep(monkeypatch):
 
     # Bound three rows of P(w) for every u, so members fail on rows 2 and 3.
     monkeypatch.setattr(harness, "p_tableau", lambda u: Tableau(((1,), (2,), (3,))))
-    cfg = SweepConfig("maxri", u_alphabet=2, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
+    cfg = SweepConfig(u_alphabet=2, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
     us = _u_range(cfg)
 
     def detail(i, rows):
@@ -556,7 +571,7 @@ def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
     # tau_m as the identity: a member tableau fails when its own row word
     # is not in the other centralizer.
     monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
-    cfg = SweepConfig("rc", w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
+    cfg = SweepConfig(w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
     for u, m in (((1,), 2), ((1, 2), 3), ((2, 1, 2), 2)):
         sides = [u, rc_m(u, m)]
 
@@ -579,7 +594,7 @@ def test_rc_sweep_is_check_rc_over_the_pairs_in_order(monkeypatch):
 
     # tau_m as the identity, as above, so that several pairs fail.
     monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
-    cfg = SweepConfig("rc", u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3,
+    cfg = SweepConfig(u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3,
                       budget=GOLDEN_BUDGET)
     reports = [check_rc(u, m, cfg) for u, m in rc_pairs(cfg)]
     want = tuple(c for r in reports for c in r.counterexamples)
@@ -604,7 +619,7 @@ def test_stability_witness_matches_the_per_word_sweep(monkeypatch):
         return [t for t in real(uk, n, m, budget=budget) if keep(uk, t.rows)]
 
     monkeypatch.setattr(harness, "centralizer_tableaux", fake)
-    cfg = SweepConfig("stability", w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)
+    cfg = SweepConfig(w_alphabet=3, w_length=4, k_bound=3, budget=GOLDEN_BUDGET)
     for u in ((1,), (2, 1)):
         sizes, missing = per_word_stability(
             u, 3, 3, 4, lambda uk, w: commutes_oracle(uk, w) and keep(uk, p_oracle(w)))

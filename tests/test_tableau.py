@@ -25,6 +25,8 @@ SAMPLE = ((1, 1, 1, 3, 4, 4), (2, 3, 3, 4, 5), (3, 5, 5), (4,))
 
 def test_sample_tableau_valid():
     t = Tableau(SAMPLE)
+    assert repr(t) == f"Tableau({[list(r) for r in SAMPLE]!r})"
+    assert str(t) == "[1,1,1,3,4,4]\n[2,3,3,4,5]\n[3,5,5]\n[4]"
     assert t.shape == (6, 5, 3, 1)
     assert t.size == 15
     assert t.row_word() == (4, 3, 5, 5, 2, 3, 3, 4, 5, 1, 1, 1, 3, 4, 4)
@@ -208,7 +210,12 @@ def test_skew_tableau_basic():
     assert s.entry(1, 2) == 2
     assert s.entry(2, 1) == 1
     assert s.entry(1, 1) is None
+    assert s.entry(3, 1) is None
     assert not s.is_straight()
+    assert hash(s) == hash(SkewTableau((2, 1), (1,), ((2,), (1,))))
+    assert repr(s) == "SkewTableau(outer=(2, 1), inner=(1,), rows=[[2], [1]])"
+    with pytest.raises(AttributeError):
+        s.rows = ((1,), (1,))
 
 
 def test_skew_inner_trailing_zeros_stripped():
@@ -227,6 +234,14 @@ def test_skew_straight_conversion():
 def test_skew_validation():
     with pytest.raises(ValueError):
         SkewTableau((1, 2), (), ((1,), (1, 2)))  # outer not a partition
+    with pytest.raises(BadShapeError, match="inner shape"):
+        SkewTableau((2, 2), (1, 2), ((1,), ()))
+    with pytest.raises(BadShapeError, match="more rows"):
+        SkewTableau((2,), (1, 1), ((1,),))
+    with pytest.raises(BadShapeError, match="one entry row per"):
+        SkewTableau((2, 1), (), ((1, 2),))
+    with pytest.raises(BadShapeError, match="row 1 has 2 entries, expected 1"):
+        SkewTableau((2,), (1,), ((1, 2),))
     with pytest.raises(ValueError):
         SkewTableau((2,), (3,), ((1,),))  # inner wider than outer
     with pytest.raises(ValueError):
