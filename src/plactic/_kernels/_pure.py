@@ -8,10 +8,12 @@ ints here.
 The listing tests membership once per insertion tableau, not once per
 word: Knuth equivalence is a congruence, so whether w commutes with u
 depends on P(w) alone.  ``commuting_tableaux`` fills each tableau by
-backtracking, the algorithm of the C module plactic._kernels._speedups as
-well, so the brute-force definition is its independent check.  Counting
-and listing the words are written once, in plactic._kernels, over
-``commuting_tableaux``; the word listing reverse-bumps with ``_pop``.
+backtracking, as the C module plactic._kernels._speedups does, and lists
+the same tableaux; it also rejects most candidates for the last cell on
+their first rows alone, which the C fill does not.  The brute-force
+definition is the independent check of both.  Counting and listing the
+words are written once, in plactic._kernels, over ``commuting_tableaux``;
+the word listing reverse-bumps with ``_pop``.
 
 Tableaux are passed around as tuples of row tuples (top row first).
 """
@@ -40,6 +42,20 @@ def insertion_rows(word):
     # Exact-size tuples: a tuple built from an iterator is resized, and in
     # a long scan that churn fills the interpreter's tuple free lists.
     return tuple([tuple(row) for row in out])
+
+
+def _row_pass(row, letters):
+    """Row 1 of a tableau with first row ``row`` after inserting
+    ``letters``, computed in place on the list ``row``: each letter
+    replaces the leftmost entry greater than it, or is appended, and the
+    letters it bumps are dropped, since they never come back to row 1."""
+    for a in letters:
+        pos = bisect_right(row, a)
+        if pos == len(row):
+            row.append(a)
+        else:
+            row[pos] = a
+    return row
 
 
 def _push(rows, a):
@@ -77,7 +93,10 @@ def commuting_tableaux(u, n, m):
     shape, the row words in lexicographic order.  Each shape is filled by
     backtracking in row-word order, bottom row first and left to right,
     while one tableau P(u) <- (the row word so far) is kept up to date:
-    insert on the way down, reverse-bump on the way back.
+    insert on the way down, reverse-bump on the way back.  A value for the
+    last cell is tested in full only when the first rows of both sides
+    agree; row 1 of T <- u depends on row 1 of T alone, and row 1 of
+    state <- v on row 1 of state alone.
     """
     if n < 0:
         raise ValueError("word length must be >= 0")
@@ -101,8 +120,13 @@ def commuting_tableaux(u, n, m):
             hi = under[j] - 1 if j < len(under) else m
             if i == 0 and j == len(row) - 1:
                 # The top row's last cell: test every value it can take.
+                first = state[0] if state else []
                 for v in range(v, hi + 1):
                     row[j] = v
+                    # Row 1 of T <- u against row 1 of state <- v.
+                    pos = bisect_right(first, v)
+                    if _row_pass(row[:], u) != first[:pos] + [v] + first[pos + 1 :]:
+                        continue
                     end = _push(state, v)
                     tu = [r[:] for r in t]
                     for a in u:

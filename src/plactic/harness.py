@@ -2,13 +2,14 @@
 
 The maxri, stability and rc checks list the insertion tableaux of the
 members of C(u) in the w range with the kernel's tableau fill, one fill
-per distinct (u, length), and test each tableau once: membership and the
-conjectures' tests read P(w) alone.  The rc sweep is one such pass over
-the two sides of every (u, m) pair.  Only a tableau that fails is expanded
-into the words of its Knuth class.  Each check returns a SweepReport.
-Reports serialize to a canonical JSON form that is byte-stable across
-reruns; wall-clock time is kept on the report object and pinned to 0 in
-the JSON.
+per distinct (P(u), length), and test each tableau once: membership and
+the conjectures' tests read P(w) alone, and C(u) depends on P(u) alone.
+The rc sweep is one such pass over the two sides of every (u, m) pair,
+and a side that recurs with the same m reuses its image tests.  Only a
+tableau that fails is expanded into the words of its Knuth class.  Each
+check returns a SweepReport.  Reports serialize to a canonical JSON form
+that is byte-stable across reruns; wall-clock time is kept on the report
+object and pinned to 0 in the JSON.
 """
 
 from __future__ import annotations
@@ -128,33 +129,39 @@ def _u_range(cfg: SweepConfig) -> list:
     return out
 
 
-def _sweep_members(us: list, cfg: SweepConfig, test: Callable) -> tuple:
+def _sweep_members(us: list, cfg: SweepConfig, test: Callable, skip=frozenset()) -> tuple:
     """Call test(i, t) once on every insertion tableau t of the members of
     C(us[i]) within the w range, after one budget check on the
     len(us) * (words in the w range) pairs of the whole sweep.
 
-    The tableaux come from one kernel fill per distinct (u, length): a
-    word that recurs in us reuses its fill, which is kept only until the
-    last block that reads it.  test returns None when t passes, else the
-    detail of a counterexample; every word of a failing tableau's Knuth
-    class then gives a payload, and a block's payloads are put in word
-    order.  Returns (checked, counterexamples, complete), where checked
-    counts the words of every finished (us[i], length) block.  This is the
-    one place an interrupt is caught: it ends the sweep inside the block
-    it hits, which is not counted.
+    The tableaux come from one kernel fill per distinct (P(u), length):
+    C(u) depends on P(u) alone, so every word of us with the same
+    insertion tableau reuses one fill, which is kept only until the last
+    block that reads it.  The indices in skip are words whose test cannot
+    fail: they get no fill and no test call, and their blocks are counted
+    as checked.  test returns None when t passes, else the detail of a
+    counterexample; every word of a failing tableau's Knuth class then
+    gives a payload, and a block's payloads are put in word order.
+    Returns (checked, counterexamples, complete), where checked counts
+    the words of every finished (us[i], length) block.  This is the one
+    place an interrupt is caught: it ends the sweep inside the block it
+    hits, which is not counted.
     """
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
     budget = require_budget(len(us) * n_w, cfg.budget, "(u, w) pairs in the sweep")
-    last = {u: i for i, u in enumerate(us)}
+    keys = [None if i in skip else _kernels.insertion_rows(u) for i, u in enumerate(us)]
+    last = {key: i for i, key in enumerate(keys)}
     fills: dict = {}
     checked = 0
     counterexamples = []
     try:
-        for i, u in enumerate(us):
+        for i, (u, key) in enumerate(zip(us, keys)):
             for n in range(cfg.w_length + 1):
-                if (u, n) not in fills:
-                    fills[u, n] = centralizer_tableaux(u, n, cfg.w_alphabet, budget=budget)
-                tableaux = fills[u, n] if last[u] > i else fills.pop((u, n))
+                tableaux = ()
+                if key is not None:
+                    if (key, n) not in fills:
+                        fills[key, n] = centralizer_tableaux(u, n, cfg.w_alphabet, budget=budget)
+                    tableaux = fills[key, n] if last[key] > i else fills.pop((key, n))
                 block = len(counterexamples)
                 for t in tableaux:
                     detail = test(i, t)
@@ -192,10 +199,14 @@ def _report(conjecture: str, config: dict, t0: float, checked: int, counterexamp
 
 def check_max_ri(cfg: SweepConfig) -> SweepReport:
     """For every u in range and every w in C(u) in range, the first
-    (number of rows of P(u)) rows of P(w) must have entries <= max(u)."""
+    (number of rows of P(u)) rows of P(w) must have entries <= max(u).
+    A u with max(u) >= w_alphabet cannot fail, since no entry of P(w)
+    exceeds w_alphabet: its members are not listed, but its pairs are
+    counted as checked."""
     t0 = time.monotonic()
     us = _u_range(cfg)
     bounds = [(max(u), len(p_tableau(u).rows)) for u in us]
+    skip = {i for i, (m, _) in enumerate(bounds) if m >= cfg.w_alphabet}
 
     def test(i, t):
         m, ell = bounds[i]
@@ -205,7 +216,7 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
                 return f"row {r + 1} of the P-tableau has max {rows[r][-1]} > max(u) = {m}"
         return None
 
-    checked, cx, complete = _sweep_members(us, cfg, test)
+    checked, cx, complete = _sweep_members(us, cfg, test, skip)
     return _report("maxri", cfg.echo(), t0, checked, cx, complete, {"u_words": len(us)})
 
 
@@ -289,20 +300,34 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
 def _rc_members(pairs: list, cfg: SweepConfig) -> tuple:
     """One member pass over the sides u, rc_m(u, m) of every (u, m) pair,
     in order.  Side i maps tau_m of each member tableau, m from pair
-    i // 2, into the other side of its pair.  Returns _sweep_members's
-    triple and the count of member tableaux of each side."""
+    i // 2, into the other side of its pair, which is rc_m(side, m) as
+    rc_m is an involution on words with max <= m.  The verdict on a
+    member tableau is thus fixed by (side, m, tableau): a side that recurs
+    with the same m reuses the verdicts of its first occurrence, each kept
+    only until the last side that reads it, and still reports its own
+    counterexamples.  Returns _sweep_members's triple and the count of
+    member tableaux of each side."""
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
+    keys = [(side, pairs[i // 2][1]) for i, side in enumerate(sides)]
+    last = {key: i for i, key in enumerate(keys)}
+    verdicts: dict = {}
     tableaux = [0] * len(sides)
 
     def test(i, t):
         tableaux[i] += 1
-        m = pairs[i // 2][1]
+        key = keys[i]
+        if (key, t) in verdicts:
+            return verdicts.pop((key, t)) if last[key] == i else verdicts[key, t]
+        m = key[1]
         image = tau_m(t, m)
         target = sides[i ^ 1]
-        if in_centralizer(target, image.row_word()):
-            return None
-        return (f"tau_{m} image with row word [{format_word(image.row_word())}] is not in "
-                f"C({format_word(target)})")
+        detail = None
+        if not in_centralizer(target, image.row_word()):
+            detail = (f"tau_{m} image with row word [{format_word(image.row_word())}] is not in "
+                      f"C({format_word(target)})")
+        if last[key] > i:
+            verdicts[key, t] = detail
+        return detail
 
     return _sweep_members(sides, cfg, test), tableaux
 

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from typing import Iterable
 
 from . import _kernels
-from ._kernels._pure import _pop, _push
+from ._kernels._pure import _pop, _push, _row_pass
 from .errors import QNotStandardError, ShapeMismatchError, WordParseError
 from .tableau import Tableau, Word, word
 
@@ -95,9 +95,9 @@ def inverse_rsk(p: Tableau, q: Tableau) -> Word:
 
 def _first_row(w: Word) -> tuple:
     # Row 1 of P(w) holds, in place i, the least letter that ends a weakly
-    # increasing subsequence of length i + 1 (Schensted's theorem).
-    rows = _kernels.insertion_rows(w)
-    return rows[0] if rows else ()
+    # increasing subsequence of length i + 1 (Schensted's theorem).  It is
+    # one row pass over w: the letters bumped out of row 1 never return.
+    return tuple(_row_pass([], w))
 
 
 def lwi(w: Iterable[int]) -> int:

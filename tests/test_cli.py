@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -100,6 +101,24 @@ def test_listing_and_count_bytes_do_not_depend_on_the_backend(capsys, reload_ker
     for (u, n, m), listing in zip(cases, pure[::2]):
         words = centralizer_oracle(u, n, m)
         assert listing == json.dumps({"words": [list(w) for w in words]}, separators=(",", ":")) + "\n"
+
+
+PERFBENCH_EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def test_perfbench_sweep_and_scan_checksums_on_both_backends(capsys, reload_kernels):
+    """Every sweep and scan job of the benchmark, run as its argv, exits
+    and prints the bytes whose sha256 perfbench/expected.json records, on
+    the pure backend and on the C module."""
+    expected = json.loads(PERFBENCH_EXPECTED.read_text())
+    jobs = [(key, want) for workload in ("sweep", "scan") for key, want in expected[workload].items()]
+    assert len(jobs) == 9
+    for backend, pure_env in (("pure", "1"), ("c", None)):
+        assert reload_kernels(pure_env).BACKEND == backend
+        for key, want in jobs:
+            code, out, _ = run(capsys, *key.split())
+            got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+            assert got == want, (backend, key)
 
 
 def test_count(capsys):

@@ -15,7 +15,7 @@ from plactic import (
     in_centralizer,
     rc_m,
 )
-from plactic.centralizer import require_budget
+from plactic.centralizer import centralizer_tableaux, require_budget
 from plactic.enumeration import iter_ssyt
 from plactic.cli import cli_dispatch
 from plactic.harness import (
@@ -542,12 +542,11 @@ def test_rc_sweep_fills_each_side_word_once_per_length(monkeypatch):
 # with the same sweep made word by word.
 
 
-def test_max_ri_counterexamples_match_the_per_word_sweep(monkeypatch):
+def _max_ri_matches_the_per_word_sweep(monkeypatch, cfg):
     import plactic.harness as harness
 
     # Bound three rows of P(w) for every u, so members fail on rows 2 and 3.
     monkeypatch.setattr(harness, "p_tableau", lambda u: Tableau(((1,), (2,), (3,))))
-    cfg = SweepConfig(u_alphabet=2, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
     us = _u_range(cfg)
 
     def detail(i, rows):
@@ -557,36 +556,120 @@ def test_max_ri_counterexamples_match_the_per_word_sweep(monkeypatch):
                 return f"row {r + 1} of the P-tableau has max {rows[r][-1]} > max(u) = {m}"
         return None
 
-    want = per_word_counterexamples(us, 3, 4, detail)
+    want = per_word_counterexamples(us, cfg.w_alphabet, cfg.w_length, detail)
     report = check_max_ri(cfg)
     assert len(want) > 20
     assert report.verdict == "counterexample"
     assert report.counterexamples == tuple(want)
-    assert report.checked == len(us) * count_words_up_to(3, 4)
+    assert report.checked == len(us) * count_words_up_to(cfg.w_alphabet, cfg.w_length)
+
+
+def test_max_ri_counterexamples_match_the_per_word_sweep(monkeypatch):
+    cfg = SweepConfig(u_alphabet=2, u_length=2, w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
+    _max_ri_matches_the_per_word_sweep(monkeypatch, cfg)
+
+
+def test_max_ri_shared_fills_match_the_per_word_sweep(monkeypatch):
+    """u over [4] against w over [3]: words with one P(u) share a fill
+    (121 and 211), and the u with max(u) >= 3 get none."""
+    cfg = SweepConfig(u_alphabet=4, u_length=3, w_alphabet=3, w_length=3, budget=GOLDEN_BUDGET)
+    us = _u_range(cfg)
+    assert len({p_oracle(u) for u in us}) < len(us) and any(max(u) >= 3 for u in us)
+    _max_ri_matches_the_per_word_sweep(monkeypatch, cfg)
+
+
+def _per_word_rc_identity(u, m, w_alphabet, w_length):
+    """The per-word counterexamples of the pair (u, m) when tau_m is the
+    identity: a member fails when its own row word is not in the other
+    centralizer."""
+    sides = [u, rc_m(u, m)]
+
+    def detail(i, rows):
+        row_word = tuple(a for row in reversed(rows) for a in row)
+        if in_centralizer(sides[1 - i], row_word):
+            return None
+        return (f"tau_{m} image with row word [{','.join(map(str, row_word))}] is not in "
+                f"C({','.join(map(str, sides[1 - i]))})")
+
+    return per_word_counterexamples(sides, w_alphabet, w_length, detail)
 
 
 def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
     import plactic.harness as harness
 
-    # tau_m as the identity: a member tableau fails when its own row word
-    # is not in the other centralizer.
     monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
     cfg = SweepConfig(w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
     for u, m in (((1,), 2), ((1, 2), 3), ((2, 1, 2), 2)):
-        sides = [u, rc_m(u, m)]
-
-        def detail(i, rows):
-            row_word = tuple(a for row in reversed(rows) for a in row)
-            if in_centralizer(sides[1 - i], row_word):
-                return None
-            return (f"tau_{m} image with row word [{','.join(map(str, row_word))}] is not in "
-                    f"C({','.join(map(str, sides[1 - i]))})")
-
-        want = per_word_counterexamples(sides, 3, 4, detail)
+        want = _per_word_rc_identity(u, m, 3, 4)
         report = check_rc(u, m, cfg)
         assert want, (u, m)
         assert report.verdict == "counterexample"
         assert report.counterexamples == tuple(want), (u, m)
+
+
+def test_rc_sweep_counterexamples_match_the_per_word_sweep(monkeypatch):
+    """The sweep shares fills between sides with one P(side) and image
+    tests between recurring (side, m); its report is the per-word sweep's
+    over every pair, made with no sharing at all."""
+    import plactic.harness as harness
+
+    monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
+    cfg = SweepConfig(u_alphabet=4, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=3,
+                      budget=GOLDEN_BUDGET)
+    pairs = rc_pairs(cfg)
+    want = [c for u, m in pairs for c in _per_word_rc_identity(u, m, 3, 3)]
+    sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
+    assert len({p_oracle(side) for side in sides}) < len(set(sides))
+    report = check_rc_sweep(cfg)
+    assert report.verdict == "counterexample"
+    assert report.counterexamples == tuple(want)
+    assert report.checked == 2 * len(pairs) * count_words_up_to(3, 3)
+
+
+def _count_calls(monkeypatch):
+    """Count the sweeps' kernel fills and tau_m image tests."""
+    import plactic.harness as harness
+
+    calls = {"fills": 0, "tau_m": 0}
+    fill, tau = harness.centralizer_tableaux, harness.tau_m
+
+    def counted_fill(*args, **kwargs):
+        calls["fills"] += 1
+        return fill(*args, **kwargs)
+
+    def counted_tau(*args, **kwargs):
+        calls["tau_m"] += 1
+        return tau(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "centralizer_tableaux", counted_fill)
+    monkeypatch.setattr(harness, "tau_m", counted_tau)
+    return calls
+
+
+def test_benchmark_sweeps_ask_each_membership_question_once(monkeypatch):
+    """The perfbench sweeps make one fill per distinct (P(u), length), none
+    for a maxri u with max(u) >= w_alphabet, and one tau_m image test per
+    distinct (side, m, member tableau)."""
+    w7 = dict(w_alphabet=3, w_length=7, budget=GOLDEN_BUDGET)
+    calls = _count_calls(monkeypatch)
+
+    cfg = SweepConfig(u_alphabet=3, u_length=3, **w7)
+    assert check_max_ri(cfg).verdict == "holds"
+    classes = {p_oracle(u) for u in _u_range(cfg) if max(u) < 3}
+    assert calls == {"fills": 96, "tau_m": 0} and 96 == len(classes) * 8  # was 312 = 39 * 8
+
+    calls.update(fills=0)
+    assert check_stability((2, 1), SweepConfig(k_bound=4, **w7)).verdict == "holds"
+    assert calls == {"fills": 32, "tau_m": 0}
+
+    calls.update(fills=0)
+    cfg = SweepConfig(u_alphabet=3, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=6,
+                      budget=GOLDEN_BUDGET)
+    assert check_rc_sweep(cfg).verdict == "holds"
+    keys = {(side, m) for u, m in rc_pairs(cfg) for side in (u, rc_m(u, m))}
+    members = sum(len(centralizer_tableaux(side, n, 3)) for side, m in keys for n in range(7))
+    assert calls == {"fills": 133, "tau_m": 1215}  # was 147 and 2,390
+    assert 133 == len({p_oracle(side) for side, m in keys}) * 7 and members == 1215
 
 
 def test_rc_sweep_is_check_rc_over_the_pairs_in_order(monkeypatch):

@@ -105,12 +105,29 @@ def test_pure_scan_windows_match_oracle(pure_kernels):
 
 
 def test_compiled_fill_matches_oracle(speedups):
-    """Both backends share the tableau fill, so the brute oracle is the
-    independent check of the C one."""
+    """The brute oracle is the independent check of the C fill too."""
     for u in SCAN_WORDS:
         for n in range(0, 5):
             for m in range(-1, 4):
                 _fill_matches_oracle(speedups.commuting_tableaux, u, n, m)
+
+
+# Edges of the pure fill's row-1 test at the top row's last cell.
+ROW_ONE_EDGES = [
+    *[((), n, m) for n in (1, 2, 5) for m in (1, 3)],  # the state is empty at a one-cell leaf
+    ((5,), 3, 2), ((4, 1, 6), 4, 3), ((3, 3, 1), 3, 2), ((BIG, 2), 4, 2),  # letters of u above m
+    ((1,), 1, 1), ((2,), 1, 1), ((2, 1), 1, 1), ((1,), 1, 4),  # m = 1 and n = 1
+    ((1, 1, 2), 6, 1), ((2, 1), 6, 1), ((1, 2, 2), 5, 2), ((2, 1, 2), 6, 2),  # one-row shapes first
+]
+
+
+@pytest.mark.parametrize("u, n, m", ROW_ONE_EDGES)
+def test_fill_row_one_test_edges(speedups, u, n, m):
+    """The pure fill rejects most values of the last cell on row 1 alone;
+    at the edges of that test it still lists the definition's member
+    tableaux, exactly as the C fill, which tests every value in full."""
+    _fill_matches_oracle(_pure.commuting_tableaux, u, n, m)
+    assert _pure.commuting_tableaux(u, n, m) == speedups.commuting_tableaux(u, n, m)
 
 
 def test_membership_depends_on_the_insertion_tableau_alone():

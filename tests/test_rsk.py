@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plactic import (
@@ -18,7 +18,9 @@ from plactic import (
     row_insert,
     rsk_pair,
 )
+from plactic import _kernels
 from plactic._kernels import class_words
+from plactic.rsk import _first_row
 from plactic.enumeration import iter_ssyt
 from plactic.tableau import iter_partitions
 
@@ -156,6 +158,16 @@ def test_lwi_is_first_row_length(w):
     t = p_tableau(w)
     first = len(t.rows[0]) if t.rows else 0
     assert lwi(w) == first
+
+
+@given(st.one_of(words, st.lists(st.integers(min_value=1, max_value=2**70), max_size=12).map(tuple)))
+@example(())
+@example((2**64, 2**63, 1, 2**63))
+def test_first_row_is_row_one_of_the_insertion_tableau(w):
+    """The one row pass of _first_row against row 1 of insertion_rows,
+    with the empty word and letters up to 2^70 among the inputs."""
+    rows = _kernels.insertion_rows(w)
+    assert _first_row(w) == (rows[0] if rows else ())
 
 
 @settings(max_examples=60)
