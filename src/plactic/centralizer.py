@@ -22,16 +22,12 @@ DEFAULT_BUDGET = 10**8
 def default_budget() -> int:
     """Word-enumeration budget; PLACTIC_BUDGET overrides the default 10^8."""
     raw = os.environ.get("PLACTIC_BUDGET")
-    if raw:
-        problem = BadParameterError(f"PLACTIC_BUDGET must be a positive integer, got {raw!r}")
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise problem from None
-        if budget <= 0:
-            raise problem
-        return budget
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return positive_int(int(raw), "PLACTIC_BUDGET")
+    except ValueError:  # BadParameterError included
+        raise BadParameterError(f"PLACTIC_BUDGET must be a positive integer, got {raw!r}") from None
 
 
 def in_centralizer(u: Iterable[int], w: Iterable[int]) -> bool:
@@ -127,10 +123,22 @@ def _shown(count: int) -> str:
         return f"at least 2^{count.bit_length() - 1}"
 
 
+def positive_int(value, name: str) -> int:
+    """``value``, which must be an int >= 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise BadParameterError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def resolve_budget(budget) -> int:
+    """default_budget() for None, else ``budget``, a positive int."""
+    return default_budget() if budget is None else positive_int(budget, "budget")
+
+
 def require_budget(total: int, budget, what: str) -> int:
     """Raise BudgetExceeded when ``total`` (the count of ``what``) is over
-    the budget; None means default_budget().  Returns the budget used."""
-    limit = default_budget() if budget is None else budget
+    the budget, resolved by resolve_budget.  Returns the budget used."""
+    limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceededError(f"{what}: {_shown(total)}, over the budget {_shown(limit)}")
     return limit

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .centralizer import c12_columns, default_budget, require_budget
+from .centralizer import c12_columns, require_budget, resolve_budget
 from .errors import (
     BadParameterError,
     BadShapeError,
@@ -281,7 +281,7 @@ def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     if n < r:
         raise BadParameterError(f"need n >= {r} for u = {u}, got n = {n}")
     d = n - r
-    limit = default_budget() if budget is None else budget
+    limit = resolve_budget(budget)
     for k, p in zip(range(n + 1), _partition_counts()):
         if (d + 2) * p > limit:
             at_least = "" if k == n else f", at least {d + 2} * p({k})"

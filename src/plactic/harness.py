@@ -5,7 +5,7 @@ members of C(u) in the w range with the kernel's tableau fill, one fill
 per distinct (P(u), length), and test each tableau once: membership and
 the conjectures' tests read P(w) alone, and C(u) depends on P(u) alone.
 The rc sweep is one such pass over the two sides of every (u, m) pair,
-and a side that recurs with the same m reuses its image tests.  Only a
+and tests no tau_m image when m >= w_alphabet (see _rc_members).  Only a
 tableau that fails is expanded into the words of its Knuth class.  Each
 check returns a SweepReport.  Reports serialize to a canonical JSON form
 that is byte-stable across reruns; wall-clock time is kept on the report
@@ -21,7 +21,13 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from . import _kernels
-from .centralizer import centralizer_tableaux, default_budget, in_centralizer, require_budget
+from .centralizer import (
+    centralizer_tableaux,
+    in_centralizer,
+    positive_int,
+    require_budget,
+    resolve_budget,
+)
 from .enumeration import expand_binomial
 from .errors import BadParameterError, MaxEntryExceedsMError
 from .involutions import rc_m, tau_m
@@ -51,16 +57,12 @@ class SweepConfig:
     budget: int | None = None
 
     def __post_init__(self):
-        for name in ("u_alphabet", "u_length", "w_alphabet", "w_length", "k_bound"):
-            if getattr(self, name) < 1:
-                raise BadParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.u_sum_bound is not None and self.u_sum_bound < 1:
-            raise BadParameterError(f"u_sum_bound must be >= 1, got {self.u_sum_bound}")
-        if self.budget is not None and self.budget <= 0:
-            raise BadParameterError(f"budget must be positive, got {self.budget}")
+        for name, value in vars(self).items():
+            if value is not None or name not in ("u_sum_bound", "budget"):
+                positive_int(value, name)
 
     def resolved_budget(self) -> int:
-        return self.budget if self.budget is not None else default_budget()
+        return resolve_budget(self.budget)
 
     def echo(self, **extra) -> dict:
         out = {
@@ -301,33 +303,24 @@ def _rc_members(pairs: list, cfg: SweepConfig) -> tuple:
     """One member pass over the sides u, rc_m(u, m) of every (u, m) pair,
     in order.  Side i maps tau_m of each member tableau, m from pair
     i // 2, into the other side of its pair, which is rc_m(side, m) as
-    rc_m is an involution on words with max <= m.  The verdict on a
-    member tableau is thus fixed by (side, m, tableau): a side that recurs
-    with the same m reuses the verdicts of its first occurrence, each kept
-    only until the last side that reads it, and still reports its own
-    counterexamples.  Returns _sweep_members's triple and the count of
-    member tableaux of each side."""
+    rc_m is an involution on words with max <= m.  A pair with
+    m >= w_alphabet cannot fail, so its members are counted but not
+    mapped: with every entry <= m, tau_m is the m-evacuation P(w) ->
+    P(rc_m(w)), and rc_m reverses products and keeps Knuth classes
+    (Schutzenberger), so uw == wu gives rc_m(u)rc_m(w) == rc_m(w)rc_m(u).
+    Returns _sweep_members's triple and the member count of each side."""
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
-    keys = [(side, pairs[i // 2][1]) for i, side in enumerate(sides)]
-    last = {key: i for i, key in enumerate(keys)}
-    verdicts: dict = {}
     tableaux = [0] * len(sides)
 
     def test(i, t):
         tableaux[i] += 1
-        key = keys[i]
-        if (key, t) in verdicts:
-            return verdicts.pop((key, t)) if last[key] == i else verdicts[key, t]
-        m = key[1]
-        image = tau_m(t, m)
-        target = sides[i ^ 1]
-        detail = None
-        if not in_centralizer(target, image.row_word()):
-            detail = (f"tau_{m} image with row word [{format_word(image.row_word())}] is not in "
-                      f"C({format_word(target)})")
-        if last[key] > i:
-            verdicts[key, t] = detail
-        return detail
+        m = pairs[i // 2][1]
+        if m < cfg.w_alphabet:
+            image, target = tau_m(t, m).row_word(), sides[i ^ 1]
+            if not in_centralizer(target, image):
+                return (f"tau_{m} image with row word [{format_word(image)}] is not in "
+                        f"C({format_word(target)})")
+        return None
 
     return _sweep_members(sides, cfg, test), tableaux
 
@@ -337,7 +330,8 @@ def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     range: tau_m(P-tableau) of every range word in C(u) must belong to
     the full set P(C(RC_m(u))), and symmetrically.  Membership on the
     right is decided through the row word, so the test never depends on
-    whether that tableau happens to be reachable inside the w range."""
+    whether that tableau happens to be reachable inside the w range.
+    A pair with m >= w_alphabet holds by a theorem (see _rc_members)."""
     t0 = time.monotonic()
     u = word(u)
     if u and max(u) > m:

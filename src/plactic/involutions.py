@@ -87,13 +87,10 @@ def split_at(t: Tableau, m: int):
 def tau_m(t: Tableau, m: int) -> Tableau:
     """Evacuate the entries <= m in place, leaving the larger entries
     where they are: the row prefixes of entries <= m are evacuated as one
-    tableau, and each row's suffix follows its new prefix."""
+    tableau, and each row's suffix follows its new prefix.  The image is
+    a tableau, so it is built without re-checking its cells."""
     cut = _cut(t, m)
     low = _low(t, cut)
     evac = evacuation_m(low, m)
-    if evac.shape != low.shape:
-        raise MaxEntryExceedsMError(
-            f"evacuation changed shape {low.shape} -> {evac.shape}"
-        )
     prefixes = evac.rows + ((),) * (len(cut) - len(evac.rows))
-    return Tableau(e + row[k:] for e, row, k in zip(prefixes, t.rows, cut))
+    return Tableau._unchecked(tuple(e + row[k:] for e, row, k in zip(prefixes, t.rows, cut)))

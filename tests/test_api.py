@@ -68,6 +68,16 @@ BAD_INPUTS = (
     (plactic.BadParameterError, lambda: plactic.SweepConfig(w_length=0)),
     (plactic.BadParameterError, lambda: plactic.SweepConfig(u_sum_bound=0)),
     (plactic.BadParameterError, lambda: plactic.SweepConfig(budget=0)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(budget=True)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(w_length="3")),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(w_length=2.5)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(k_bound=None)),
+    (plactic.BadParameterError, lambda: plactic.SweepConfig(u_sum_bound=2.5)),
+    (plactic.BadParameterError, lambda: plactic.centralizer_words((1,), 2, 2, budget=0)),
+    (plactic.BadParameterError, lambda: plactic.count_centralizer_words((1,), 2, 2, budget=-3)),
+    (plactic.BadParameterError, lambda: plactic.centralizer_tableaux((1,), 2, 2, budget=2.5)),
+    (plactic.BadParameterError, lambda: plactic.expand_binomial((1,), 3, budget=0)),
+    (plactic.BadParameterError, lambda: plactic.check_coefficients(3, budget=-1)),
     (plactic.BadParameterError, lambda: plactic.check_coefficients(1)),
     (plactic.MaxEntryExceedsMError, lambda: plactic.check_rc((3,), 2, plactic.SweepConfig())),
     (plactic.BadParameterError, lambda: plactic.rc_m((1,), -1)),

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from plactic import (
+    BadParameterError,
     BudgetExceededError,
     SweepConfig,
     SweepReport,
@@ -14,6 +15,7 @@ from plactic import (
     check_stability,
     in_centralizer,
     rc_m,
+    tau_m,
 )
 from plactic.centralizer import centralizer_tableaux, require_budget
 from plactic.enumeration import iter_ssyt
@@ -248,6 +250,10 @@ def test_require_budget(monkeypatch):
     assert require_budget(10, 10, "pairs") == 10
     with pytest.raises(BudgetExceededError, match="pairs: 11, over the budget 10"):
         require_budget(11, 10, "pairs")
+    # an explicit budget that is not a positive int is refused, not compared
+    for bad in (0, -3, True, 2.5, "10"):
+        with pytest.raises(BadParameterError, match=f"budget must be a positive integer, got {bad!r}"):
+            require_budget(0, bad, "pairs")
     monkeypatch.setenv("PLACTIC_BUDGET", "7")
     assert require_budget(7, None, "pairs") == 7
     with pytest.raises(BudgetExceededError, match="pairs in the sweep: 30, over the budget 7"):
@@ -597,10 +603,11 @@ def _per_word_rc_identity(u, m, w_alphabet, w_length):
 def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
     import plactic.harness as harness
 
+    # w over [4], so that every pair has m < w_alphabet and is tested
     monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
-    cfg = SweepConfig(w_alphabet=3, w_length=4, budget=GOLDEN_BUDGET)
+    cfg = SweepConfig(w_alphabet=4, w_length=4, budget=GOLDEN_BUDGET)
     for u, m in (((1,), 2), ((1, 2), 3), ((2, 1, 2), 2)):
-        want = _per_word_rc_identity(u, m, 3, 4)
+        want = _per_word_rc_identity(u, m, 4, 4)
         report = check_rc(u, m, cfg)
         assert want, (u, m)
         assert report.verdict == "counterexample"
@@ -608,22 +615,48 @@ def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
 
 
 def test_rc_sweep_counterexamples_match_the_per_word_sweep(monkeypatch):
-    """The sweep shares fills between sides with one P(side) and image
-    tests between recurring (side, m); its report is the per-word sweep's
-    over every pair, made with no sharing at all."""
+    """The sweep shares fills between sides with one P(side); its report
+    is the per-word sweep's over every pair, made with no sharing at all.
+    w over [5], so that every pair has m < w_alphabet and is tested."""
     import plactic.harness as harness
 
     monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
-    cfg = SweepConfig(u_alphabet=4, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=3,
+    cfg = SweepConfig(u_alphabet=4, u_length=3, u_sum_bound=5, w_alphabet=5, w_length=3,
                       budget=GOLDEN_BUDGET)
     pairs = rc_pairs(cfg)
-    want = [c for u, m in pairs for c in _per_word_rc_identity(u, m, 3, 3)]
+    assert max(m for u, m in pairs) < 5
+    want = [c for u, m in pairs for c in _per_word_rc_identity(u, m, 5, 3)]
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
     assert len({p_oracle(side) for side in sides}) < len(set(sides))
     report = check_rc_sweep(cfg)
     assert report.verdict == "counterexample"
     assert report.counterexamples == tuple(want)
-    assert report.checked == 2 * len(pairs) * count_words_up_to(3, 3)
+    assert report.checked == 2 * len(pairs) * count_words_up_to(5, 3)
+
+
+def test_rc_pairs_with_m_at_least_w_alphabet_cannot_fail(monkeypatch):
+    """The theorem behind the rc sweep's skip: when m >= w_alphabet, the
+    per-word check with the real tau_m finds no counterexample (u over
+    [4] with u-sum 7, w over [1], [2] and [3] up to length 4), and with a
+    forced tau_m those pairs still hold, since no image is tested."""
+    import plactic.harness as harness
+
+    pairs = rc_pairs(SweepConfig(u_alphabet=4, u_length=3, u_sum_bound=7))
+    settled = [(u, m, a) for u, m in pairs for a in (1, 2, 3) if m >= a]
+    assert len(settled) == 472
+    for u, m, a in settled:
+        sides = [u, rc_m(u, m)]
+
+        def detail(i, rows):
+            image = tau_m(Tableau(rows), m).row_word()
+            return None if in_centralizer(sides[1 - i], image) else image
+
+        assert per_word_counterexamples(sides, a, 4, detail) == [], (u, m, a)
+
+    monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
+    for u, m, a in settled:
+        report = check_rc(u, m, SweepConfig(w_alphabet=a, w_length=4, budget=GOLDEN_BUDGET))
+        assert report.verdict == "holds", (u, m, a)
 
 
 def _count_calls(monkeypatch):
@@ -649,7 +682,7 @@ def _count_calls(monkeypatch):
 def test_benchmark_sweeps_ask_each_membership_question_once(monkeypatch):
     """The perfbench sweeps make one fill per distinct (P(u), length), none
     for a maxri u with max(u) >= w_alphabet, and one tau_m image test per
-    distinct (side, m, member tableau)."""
+    member tableau of a side whose pair has m < w_alphabet."""
     w7 = dict(w_alphabet=3, w_length=7, budget=GOLDEN_BUDGET)
     calls = _count_calls(monkeypatch)
 
@@ -666,10 +699,10 @@ def test_benchmark_sweeps_ask_each_membership_question_once(monkeypatch):
     cfg = SweepConfig(u_alphabet=3, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=6,
                       budget=GOLDEN_BUDGET)
     assert check_rc_sweep(cfg).verdict == "holds"
-    keys = {(side, m) for u, m in rc_pairs(cfg) for side in (u, rc_m(u, m))}
-    members = sum(len(centralizer_tableaux(side, n, 3)) for side, m in keys for n in range(7))
-    assert calls == {"fills": 133, "tau_m": 1215}  # was 147 and 2,390
-    assert 133 == len({p_oracle(side) for side, m in keys}) * 7 and members == 1215
+    sides = [(side, m) for u, m in rc_pairs(cfg) for side in (u, rc_m(u, m))]
+    members = sum(len(centralizer_tableaux(side, n, 3)) for side, m in sides if m < 3 for n in range(7))
+    assert calls == {"fills": 133, "tau_m": 1150}  # was 147 and 2,390, then 133 and 1,215
+    assert 133 == len({p_oracle(side) for side, m in sides}) * 7 and members == 1150
 
 
 def test_rc_sweep_is_check_rc_over_the_pairs_in_order(monkeypatch):

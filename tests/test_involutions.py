@@ -171,7 +171,9 @@ def test_split_at_examples():
 
 def test_split_and_tau_match_the_filter_oracles():
     """The row cut gives the filter-and-glue results, outer and inner
-    shapes included, on every SSYT with <= 6 cells and entries <= 5."""
+    shapes included, on every SSYT with <= 6 cells and entries <= 5.
+    tau_m builds its image unchecked, so the image is validated here, and
+    tau_m is an involution on it."""
     cases = 0
     for t in all_tableaux(6, 5):
         for m in range(7):
@@ -179,7 +181,10 @@ def test_split_and_tau_match_the_filter_oracles():
             want_low, want_high = split_at_oracle(t, m)
             assert low == want_low, (t, m)
             assert (high.outer, high.inner, high.rows) == (want_high.outer, want_high.inner, want_high.rows), (t, m)
-            assert tau_m(t, m) == tau_m_oracle(t, m), (t, m)
+            image = tau_m(t, m)
+            assert image == tau_m_oracle(t, m), (t, m)
+            assert Tableau(image.rows) == image, (t, m)
+            assert tau_m(image, m) == t, (t, m)
             cases += 1
     assert cases == 21_679
 
