@@ -4,9 +4,13 @@ The maxri, stability and rc checks list the insertion tableaux of the
 members of C(u) in the w range with the kernel's tableau fill, one fill
 per distinct (P(u), length), and test each tableau once: membership and
 the conjectures' tests read P(w) alone, and C(u) depends on P(u) alone.
-The rc sweep is one such pass over the two sides of every (u, m) pair,
-and tests no tau_m image when m >= w_alphabet (see _rc_members).  Only a
-tableau that fails is expanded into the words of its Knuth class.  Each
+No fill is made for a word whose test a theorem settles: a maxri u with
+max(u) >= w_alphabet or u = a^k (see check_max_ri), and an rc pair with
+m >= w_alphabet in the sweep (see _rc_members).  The rc check is one
+such pass over the two sides of every (u, m) pair; it compares the
+tau_m images of one side's fill with the other side's fill, and so
+runs no in_centralizer test.  Only a tableau that fails is
+expanded into the words of its Knuth class.  Each
 check returns a SweepReport.  Reports serialize to a canonical JSON form
 that is byte-stable across reruns; wall-clock time is kept on the report
 object and pinned to 0 in the JSON.
@@ -23,7 +27,6 @@ from typing import Callable, Iterable, Iterator
 from . import _kernels
 from .centralizer import (
     centralizer_tableaux,
-    in_centralizer,
     positive_int,
     require_budget,
     resolve_budget,
@@ -131,47 +134,49 @@ def _u_range(cfg: SweepConfig) -> list:
     return out
 
 
-def _sweep_members(us: list, cfg: SweepConfig, test: Callable, skip=frozenset()) -> tuple:
-    """Call test(i, t) once on every insertion tableau t of the members of
-    C(us[i]) within the w range, after one budget check on the
-    len(us) * (words in the w range) pairs of the whole sweep.
+def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> tuple:
+    """Call judge(i, n, fills) once on every block (us[i], n), n = 0 to
+    w_length, after one budget check on the len(us) * (words in the w
+    range) pairs of the whole sweep.
 
-    The tableaux come from one kernel fill per distinct (P(u), length):
-    C(u) depends on P(u) alone, so every word of us with the same
-    insertion tableau reuses one fill, which is kept only until the last
-    block that reads it.  The indices in skip are words whose test cannot
-    fail: they get no fill and no test call, and their blocks are counted
-    as checked.  test returns None when t passes, else the detail of a
-    counterexample; every word of a failing tableau's Knuth class then
-    gives a payload, and a block's payloads are put in word order.
-    Returns (checked, counterexamples, complete), where checked counts
-    the words of every finished (us[i], length) block.  This is the one
-    place an interrupt is caught: it ends the sweep inside the block it
-    hits, which is not counted.
+    fills holds, for each j in reads[i], the insertion tableaux of the
+    members of C(us[j]) with n cells.  They come from one kernel fill per
+    distinct (P(us[j]), n): C(u) depends on P(u) alone, so every word with
+    the same insertion tableau reuses one fill, which is dropped at the end
+    of the last block that reads it.  A block that reads nothing gets no
+    fill: that is how a check passes over words whose test cannot fail.
+    judge returns a list of (t, detail), one for each failing member
+    tableau t of us[i]; every word of t's Knuth class then gives a
+    counterexample payload, and a block's payloads are put in word order.
+    Returns (checked, counterexamples, complete), where checked counts the
+    words of every finished block.  This is the one place an interrupt is
+    caught: it ends the sweep inside the block it hits, which is not
+    counted.
     """
     n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
     budget = require_budget(len(us) * n_w, cfg.budget, "(u, w) pairs in the sweep")
-    keys = [None if i in skip else _kernels.insertion_rows(u) for i, u in enumerate(us)]
-    last = {key: i for i, key in enumerate(keys)}
+    keys = [tuple(_kernels.insertion_rows(us[j]) for j in js) for js in reads]
+    last = {key: i for i, block_keys in enumerate(keys) for key in block_keys}
     fills: dict = {}
     checked = 0
     counterexamples = []
     try:
-        for i, (u, key) in enumerate(zip(us, keys)):
+        for i, (u, js, block_keys) in enumerate(zip(us, reads, keys)):
             for n in range(cfg.w_length + 1):
-                tableaux = ()
-                if key is not None:
+                for j, key in zip(js, block_keys):
                     if (key, n) not in fills:
-                        fills[key, n] = centralizer_tableaux(u, n, cfg.w_alphabet, budget=budget)
-                    tableaux = fills[key, n] if last[key] > i else fills.pop((key, n))
+                        fills[key, n] = centralizer_tableaux(us[j], n, cfg.w_alphabet,
+                                                             budget=budget)
+                found = judge(i, n, [fills[key, n] for key in block_keys])
+                for key in block_keys:
+                    if last[key] == i:
+                        fills.pop((key, n), None)
                 block = len(counterexamples)
-                for t in tableaux:
-                    detail = test(i, t)
-                    if detail is not None:
-                        counterexamples.extend(
-                            {"u": list(u), "w": list(w), "detail": detail}
-                            for w in _kernels.class_words([t.rows], t.size)
-                        )
+                for t, detail in found:
+                    counterexamples.extend(
+                        {"u": list(u), "w": list(w), "detail": detail}
+                        for w in _kernels.class_words([t.rows], t.size)
+                    )
                 counterexamples[block:] = sorted(counterexamples[block:], key=lambda c: c["w"])
                 checked += cfg.w_alphabet**n
     except KeyboardInterrupt:
@@ -202,13 +207,21 @@ def _report(conjecture: str, config: dict, t0: float, checked: int, counterexamp
 def check_max_ri(cfg: SweepConfig) -> SweepReport:
     """For every u in range and every w in C(u) in range, the first
     (number of rows of P(u)) rows of P(w) must have entries <= max(u).
-    A u with max(u) >= w_alphabet cannot fail, since no entry of P(w)
-    exceeds w_alphabet: its members are not listed, but its pairs are
-    counted as checked."""
+    Two kinds of u cannot fail, so their members are not listed, but
+    their pairs are counted as checked: a u with max(u) >= w_alphabet,
+    since no entry of P(w) exceeds w_alphabet, and a power u = a^k, read
+    off the P(u) that gives the row bound as one row whose first entry is
+    max(u): C(a^k) = C(a), and row 1 of P(w) is <= a for every w in C(a)
+    (centralizer.test_single_letter_rows)."""
     t0 = time.monotonic()
     us = _u_range(cfg)
-    bounds = [(max(u), len(p_tableau(u).rows)) for u in us]
-    skip = {i for i, (m, _) in enumerate(bounds) if m >= cfg.w_alphabet}
+    bounds = []
+    reads = []
+    for i, u in enumerate(us):
+        rows = p_tableau(u).rows
+        bounds.append((max(u), len(rows)))
+        settled = max(u) >= cfg.w_alphabet or (len(rows) == 1 and rows[0][0] == max(u))
+        reads.append(() if settled else (i,))
 
     def test(i, t):
         m, ell = bounds[i]
@@ -218,7 +231,10 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
                 return f"row {r + 1} of the P-tableau has max {rows[r][-1]} > max(u) = {m}"
         return None
 
-    checked, cx, complete = _sweep_members(us, cfg, test, skip)
+    def judge(i, n, fills):
+        return [(t, detail) for own in fills for t in own if (detail := test(i, t))]
+
+    checked, cx, complete = _sweep_members(us, cfg, judge, reads)
     return _report("maxri", cfg.echo(), t0, checked, cx, complete, {"u_words": len(us)})
 
 
@@ -232,11 +248,13 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
     u = word(u)
     sets: dict = {k: set() for k in range(1, cfg.k_bound + 1)}
 
-    def test(i, t):
-        sets[i + 1].add(t)
+    def judge(i, n, fills):
+        sets[i + 1].update(*fills)
+        return ()
 
     # The sets hold insertion tableaux; each stands for f^shape words.
-    checked, _, complete = _sweep_members([u * k for k in sets], cfg, test)
+    reads = [(i,) for i in range(len(sets))]
+    checked, _, complete = _sweep_members([u * k for k in sets], cfg, judge, reads)
     observed: dict = {"set_sizes": [sum(f_lambda(t.shape) for t in sets[k]) for k in sets]}
     if complete:
         non_containments = []
@@ -299,44 +317,74 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
                    {"coefficients": table})
 
 
-def _rc_members(pairs: list, cfg: SweepConfig) -> tuple:
-    """One member pass over the sides u, rc_m(u, m) of every (u, m) pair,
-    in order.  Side i maps tau_m of each member tableau, m from pair
-    i // 2, into the other side of its pair, which is rc_m(side, m) as
-    rc_m is an involution on words with max <= m.  A pair with
-    m >= w_alphabet cannot fail, so its members are counted but not
-    mapped: with every entry <= m, tau_m is the m-evacuation P(w) ->
-    P(rc_m(w)), and rc_m reverses products and keeps Knuth classes
-    (Schutzenberger), so uw == wu gives rc_m(u)rc_m(w) == rc_m(w)rc_m(u).
-    Returns _sweep_members's triple and the member count of each side."""
+def _rc_members(pairs: list, cfg: SweepConfig, fill_settled: bool) -> tuple:
+    """One member pass over the sides u, v = rc_m(u, m) of every (u, m)
+    pair, in order, with the members of side i counted in tableaux[i].
+
+    A pair with m >= w_alphabet cannot fail: with every entry <= m, tau_m
+    is the m-evacuation P(w) -> P(rc_m(w)), and rc_m reverses products
+    and keeps Knuth classes (Schutzenberger), so uw == wu gives
+    rc_m(u)rc_m(w) == rc_m(w)rc_m(u).  Its sides are filled only when
+    fill_settled is set, to be counted, and no image is tested.
+
+    Every other pair has m < w_alphabet, so tau_m maps a tableau with n
+    cells over [w_alphabet] to another one, and the image of a member of
+    C(u) is in P(C(v)) exactly when it is in v's fill B of length n.  So
+    the block of side u reads u's fill A and B, and settles both sides by
+    comparing sets: side u fails on the a in A with tau_m(a) not in B, and
+    side v, whose other side is rc_m(v, m) = u, on B minus tau_m(A), since
+    tau_m is an involution.  tau_m of a failing b in B is taken only for
+    its detail.  Side v's failures are kept for its own blocks, which read
+    no fill.  Returns _sweep_members's triple and tableaux."""
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
     tableaux = [0] * len(sides)
-
-    def test(i, t):
-        tableaux[i] += 1
-        m = pairs[i // 2][1]
+    reads = []
+    for p, (u, m) in enumerate(pairs):
         if m < cfg.w_alphabet:
-            image, target = tau_m(t, m).row_word(), sides[i ^ 1]
-            if not in_centralizer(target, image):
-                return (f"tau_{m} image with row word [{format_word(image)}] is not in "
-                        f"C({format_word(target)})")
-        return None
+            reads += [(2 * p, 2 * p + 1), ()]
+        else:
+            reads += [(2 * p,), (2 * p + 1,)] if fill_settled else [(), ()]
+    later: dict = {}
 
-    return _sweep_members(sides, cfg, test), tableaux
+    def judge(i, n, fills):
+        for j, fill in zip(reads[i], fills):
+            tableaux[j] += len(fill)
+        m = pairs[i // 2][1]
+        if m >= cfg.w_alphabet:
+            return []
+        if i % 2:
+            return later.pop(n)
+        a_fill, b_fill = fills
+        images = [tau_m(a, m) for a in a_fill]
+        b_rows = {b.rows for b in b_fill}
+        image_rows = {image.rows for image in images}
+        later[n] = [(b, _rc_detail(tau_m(b, m), m, sides[i])) for b in b_fill
+                    if b.rows not in image_rows]
+        return [(a, _rc_detail(image, m, sides[i + 1])) for a, image in zip(a_fill, images)
+                if image.rows not in b_rows]
+
+    return _sweep_members(sides, cfg, judge, reads), tableaux
+
+
+def _rc_detail(image, m: int, target) -> str:
+    return (f"tau_{m} image with row word [{format_word(image.row_word())}] is not in "
+            f"C({format_word(target)})")
 
 
 def check_rc(u: Iterable[int], m: int, cfg: SweepConfig) -> SweepReport:
     """Both containments of the reverse-complement conjecture on the w
     range: tau_m(P-tableau) of every range word in C(u) must belong to
-    the full set P(C(RC_m(u))), and symmetrically.  Membership on the
-    right is decided through the row word, so the test never depends on
-    whether that tableau happens to be reachable inside the w range.
-    A pair with m >= w_alphabet holds by a theorem (see _rc_members)."""
+    the full set P(C(RC_m(u))), and symmetrically.  The images are
+    compared with the other side's member tableaux of the same length,
+    which is exact for every pair still tested (see _rc_members).  A pair
+    with m >= w_alphabet holds by a theorem, and no image is tested; its
+    sides are still filled, since the report counts their member
+    tableaux."""
     t0 = time.monotonic()
     u = word(u)
     if u and max(u) > m:
         raise MaxEntryExceedsMError(f"need max(u) <= m, got max {max(u)} with m = {m}")
-    (checked, cx, complete), tableaux = _rc_members([(u, m)], cfg)
+    (checked, cx, complete), tableaux = _rc_members([(u, m)], cfg, fill_settled=True)
     return _report("rc", cfg.echo(u=list(u), m=m), t0, checked, cx, complete,
                    {"c_u_tableaux": tableaux[0], "c_rc_tableaux": tableaux[1]})
 
@@ -355,8 +403,10 @@ def rc_pairs(cfg: SweepConfig) -> list:
 
 def check_rc_sweep(cfg: SweepConfig) -> SweepReport:
     """The rc containments over every (u, m) pair in range, in one member
-    pass: the report is check_rc's over the pairs, merged in order."""
+    pass: the report is check_rc's over the pairs, merged in order.  The
+    pairs with m >= w_alphabet, which cannot fail, get no fill, since the
+    sweep reports no member counts."""
     t0 = time.monotonic()
     pairs = rc_pairs(cfg)
-    (checked, cx, complete), _ = _rc_members(pairs, cfg)
+    (checked, cx, complete), _ = _rc_members(pairs, cfg, fill_settled=False)
     return _report("rc", cfg.echo(), t0, checked, cx, complete, {"pairs": len(pairs)})

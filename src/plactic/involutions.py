@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+from . import _kernels
 from .errors import BadParameterError, MaxEntryExceedsMError, WordParseError
 from .rsk import p_tableau
 from .tableau import SkewTableau, Tableau, Word, word
@@ -87,10 +88,13 @@ def split_at(t: Tableau, m: int):
 def tau_m(t: Tableau, m: int) -> Tableau:
     """Evacuate the entries <= m in place, leaving the larger entries
     where they are: the row prefixes of entries <= m are evacuated as one
-    tableau, and each row's suffix follows its new prefix.  The image is
-    a tableau, so it is built without re-checking its cells."""
+    tableau, and each row's suffix follows its new prefix.  The prefixes
+    are evacuated as evacuation_m does, by inserting their reversed,
+    complemented row word, without its checks: every entry of the cut is
+    <= m.  The image is a tableau, so it is built without re-checking its
+    cells."""
     cut = _cut(t, m)
-    low = _low(t, cut)
-    evac = evacuation_m(low, m)
-    prefixes = evac.rows + ((),) * (len(cut) - len(evac.rows))
+    low = [m + 1 - v for row, k in zip(t.rows, cut) for v in reversed(row[:k])]
+    evac = _kernels.insertion_rows(low)
+    prefixes = evac + ((),) * (len(cut) - len(evac))
     return Tableau._unchecked(tuple(e + row[k:] for e, row, k in zip(prefixes, t.rows, cut)))

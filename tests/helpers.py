@@ -4,11 +4,12 @@ Everything here is deliberately written from the definitions, sharing no
 code with the library: straight-line insertion without binary search,
 brute-force subsequence scans, and exhaustive filling enumeration.  The sweep
 references replay, word by word, what the conjecture sweeps compute by
-member tableau.  Three build on the library: ``rectify_lowest_corner_first``
-runs its single jeu de taquin slide in a corner order of its own, and
-``split_at_oracle`` and ``tau_m_oracle`` split a tableau by filtering its
-rows and glue the evacuated part back row by row on its Tableau,
-SkewTableau and evacuation_m.
+member tableau; ``per_word_rc`` takes the tau_m to test, so a forced one
+can make members fail.  Three build on the library:
+``rectify_lowest_corner_first`` runs its single jeu de taquin slide in a
+corner order of its own, and ``split_at_oracle`` and ``tau_m_oracle``
+split a tableau by filtering its rows and glue the evacuated part back
+row by row on its Tableau, SkewTableau and evacuation_m.
 """
 
 from __future__ import annotations
@@ -62,6 +63,32 @@ def per_word_counterexamples(us, w_alphabet, w_length, detail):
                 found = detail(i, p_oracle(w))
                 if found is not None:
                     out.append({"u": list(u), "w": list(w), "detail": found})
+    return out
+
+
+def per_word_rc(pairs, w_alphabet, w_length, tau):
+    """Counterexample payloads of the rc check made word by word, with the
+    per-tableau test the sweep ran before it compared fills: for each
+    (u, m) pair with m < w_alphabet, a member w of either side fails when
+    the row word of tau(P(w), m) does not commute with the other side.
+    The other side is u reversed and complemented in [m]; the pairs with
+    m >= w_alphabet, which cannot fail, give nothing."""
+    from plactic import Tableau
+
+    out = []
+    for u, m in pairs:
+        if m >= w_alphabet:
+            continue
+        sides = [tuple(u), tuple(m + 1 - a for a in reversed(u))]
+
+        def detail(i, rows, m=m, sides=sides):
+            image = tau(Tableau(rows), m).row_word()
+            if commutes_oracle(sides[1 - i], image):
+                return None
+            return (f"tau_{m} image with row word [{','.join(map(str, image))}] is not in "
+                    f"C({','.join(map(str, sides[1 - i]))})")
+
+        out += per_word_counterexamples(sides, w_alphabet, w_length, detail)
     return out
 
 

@@ -8,6 +8,7 @@ from plactic import (
     SweepConfig,
     SweepReport,
     Tableau,
+    bender_knuth,
     check_coefficients,
     check_max_ri,
     check_rc,
@@ -30,7 +31,13 @@ from plactic.harness import (
 )
 from plactic.tableau import iter_partitions
 
-from helpers import commutes_oracle, p_oracle, per_word_counterexamples, per_word_stability
+from helpers import (
+    commutes_oracle,
+    p_oracle,
+    per_word_counterexamples,
+    per_word_rc,
+    per_word_stability,
+)
 
 GOLDEN_BUDGET = 10**6
 
@@ -395,13 +402,15 @@ def test_rc_sweep_interrupt_marks_incomplete(monkeypatch):
         return real(u, n, m, budget=budget)
 
     monkeypatch.setattr(harness, "centralizer_tableaux", flaky)
-    cfg = SweepConfig(u_alphabet=2, u_length=1, u_sum_bound=3, w_alphabet=2, w_length=2)
-    # sides (1,) (1,) | (1,) (2,) | (2,) (1,): the first three share one
-    # fill per length, the fourth is interrupted after its n = 0 block
+    cfg = SweepConfig(u_alphabet=2, u_length=1, u_sum_bound=3, w_alphabet=3, w_length=2)
+    # sides (1,) (1,) | (1,) (2,) | (2,) (1,), every m < 3: the first
+    # pair's first side reads one fill of (1,) per length and its second
+    # side reads none; the second pair's first side fills its partner
+    # (2,) and is interrupted after its n = 0 block
     assert rc_pairs(cfg) == [((1,), 1), ((1,), 2), ((2,), 2)]
     report = check_rc_sweep(cfg)
     assert report.verdict == "incomplete"
-    assert report.checked == 3 * (1 + 2 + 4) + 1
+    assert report.checked == 2 * (1 + 3 + 9) + 1
     assert report.counterexamples == ()
     assert report.observed == {"pairs": 3}
 
@@ -524,6 +533,8 @@ def test_rc_sweep_merges_pairs():
 
 
 def test_rc_sweep_fills_each_side_word_once_per_length(monkeypatch):
+    """Each side of a pair with m < w_alphabet is filled once per length,
+    and a side whose pairs all have m >= w_alphabet is never filled."""
     import plactic._kernels as kernels
 
     real = kernels.commuting_tableaux
@@ -534,12 +545,15 @@ def test_rc_sweep_fills_each_side_word_once_per_length(monkeypatch):
         return real(u, n, m)
 
     monkeypatch.setattr(kernels, "commuting_tableaux", counted)
-    cfg = SweepConfig(u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=2, w_length=3)
-    sides = {side for u, m in rc_pairs(cfg) for side in (u, rc_m(u, m))}
+    cfg = SweepConfig(u_alphabet=2, u_length=2, u_sum_bound=4, w_alphabet=3, w_length=3)
+    sides = {side for u, m in rc_pairs(cfg) if m < 3 for side in (u, rc_m(u, m))}
+    settled = {side for u, m in rc_pairs(cfg) if m >= 3 for side in (u, rc_m(u, m))}
     report = check_rc_sweep(cfg)
     assert report.verdict == "holds"
-    assert 2 * len(rc_pairs(cfg)) > len(sides)
+    assert 2 * sum(1 for u, m in rc_pairs(cfg) if m < 3) > len(sides)
+    assert settled - sides == {(3,)}
     assert len(calls) == len(set(calls)) == len(sides) * (cfg.w_length + 1)
+    assert {u for u, n, m in calls} == sides
 
 
 # The sweeps test each member tableau once and expand only the failing ones
@@ -584,20 +598,100 @@ def test_max_ri_shared_fills_match_the_per_word_sweep(monkeypatch):
     _max_ri_matches_the_per_word_sweep(monkeypatch, cfg)
 
 
-def _per_word_rc_identity(u, m, w_alphabet, w_length):
-    """The per-word counterexamples of the pair (u, m) when tau_m is the
-    identity: a member fails when its own row word is not in the other
-    centralizer."""
-    sides = [u, rc_m(u, m)]
+def test_max_ri_powers_cannot_fail(monkeypatch):
+    """The theorem behind the maxri skip of u = a^k: C(a^k) = C(a), and
+    row 1 of P(w) is <= a for every w in C(a).  Word by word, for a <= 4,
+    k <= 3 and w over [5] up to length 6, every member of C(a^k) has
+    row 1 of P(w) <= a.  Then, with every member tableau forced to fail,
+    the powers still pass, since they get no fill."""
+    import plactic.harness as harness
 
-    def detail(i, rows):
-        row_word = tuple(a for row in reversed(rows) for a in row)
-        if in_centralizer(sides[1 - i], row_word):
-            return None
-        return (f"tau_{m} image with row word [{','.join(map(str, row_word))}] is not in "
-                f"C({','.join(map(str, sides[1 - i]))})")
+    words = list(words_up_to(5, 6))
+    members = 0
+    for a in range(1, 5):
+        for k in range(1, 4):
+            for w in words:
+                if in_centralizer((a,) * k, w):
+                    members += 1
+                    rows = p_oracle(w)
+                    assert not rows or rows[0][-1] <= a, (a, k, w)
+    assert members == 14_016
 
-    return per_word_counterexamples(sides, w_alphabet, w_length, detail)
+    def failing(u, n, m, budget=None):  # one member, whose row 1 is all m's
+        return [Tableau(((m,) * n,) if n else ())]
+
+    monkeypatch.setattr(harness, "centralizer_tableaux", failing)
+    cfg = SweepConfig(u_alphabet=3, u_length=3, w_alphabet=3, w_length=2)
+    report = check_max_ri(cfg)
+    assert report.verdict == "counterexample"
+    assert {tuple(c["u"]) for c in report.counterexamples} == {
+        u for u in _u_range(cfg) if max(u) < 3 and len(set(u)) > 1}
+    assert report.checked == len(_u_range(cfg)) * count_words_up_to(3, 2)
+
+
+class _Fill(list):
+    """A fill list that a weak reference can follow."""
+
+
+def _fills_die_after_their_last_reader(monkeypatch, check, cfg, words, reads):
+    """Run check(cfg) with every fill tracked by weak reference.  words are
+    the swept words and reads[i] the indices whose fills block i reads.
+    Fills are made by the first block that reads them, so when a block
+    makes a fill, every fill still alive must have a reader at or after
+    it.  Returns the most fills alive at once and the fills found dead
+    before the sweep ended."""
+    import weakref
+
+    import plactic.harness as harness
+
+    first, last = {}, {}
+    for i, js in enumerate(reads):
+        for j in js:
+            key = p_oracle(words[j])
+            first.setdefault(key, i)
+            last[key] = i
+    made = []
+    seen = {"most": 0, "dead": 0}
+
+    def tracked(u, n, m, budget=None):
+        now = first[p_oracle(u)]
+        alive = [key for key, ref in made if ref() is not None]
+        assert all(last[key] >= now for key in alive), (u, n)
+        seen["most"] = max(seen["most"], len(alive))
+        seen["dead"] = len(made) - len(alive)
+        fill = _Fill(centralizer_tableaux(u, n, m, budget=budget))
+        made.append((p_oracle(u), weakref.ref(fill)))
+        return fill
+
+    monkeypatch.setattr(harness, "centralizer_tableaux", tracked)
+    check(cfg)
+    assert made and all(ref() is None for key, ref in made)
+    return seen["most"], seen["dead"]
+
+
+def test_no_fill_outlives_its_last_reader(monkeypatch):
+    """The sweeps keep a fill only until the end of the last block that
+    reads it: maxri, where 121 and 211 share fills and some u read none,
+    and rc, where the first side of a pair reads both sides' fills."""
+    cfg = SweepConfig(u_alphabet=4, u_length=3, w_alphabet=3, w_length=3, budget=GOLDEN_BUDGET)
+    us = _u_range(cfg)
+    reads = [(i,) if max(u) < 3 and len(set(u)) > 1 else () for i, u in enumerate(us)]
+    most, dead = _fills_die_after_their_last_reader(monkeypatch, check_max_ri, cfg, us, reads)
+    assert most >= 4 and dead >= 20
+
+    cfg = SweepConfig(u_alphabet=3, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=3,
+                      budget=GOLDEN_BUDGET)
+    pairs = rc_pairs(cfg)
+    sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
+    reads = []
+    for p, (u, m) in enumerate(pairs):
+        reads += [(2 * p, 2 * p + 1) if m < 3 else (), ()]
+    most, dead = _fills_die_after_their_last_reader(monkeypatch, check_rc_sweep, cfg, sides, reads)
+    assert most >= 20 and dead >= 20
+
+
+def _identity(t, m):
+    return t
 
 
 def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
@@ -607,7 +701,7 @@ def test_rc_counterexamples_match_the_per_word_sweep(monkeypatch):
     monkeypatch.setattr(harness, "tau_m", lambda t, m: t)
     cfg = SweepConfig(w_alphabet=4, w_length=4, budget=GOLDEN_BUDGET)
     for u, m in (((1,), 2), ((1, 2), 3), ((2, 1, 2), 2)):
-        want = _per_word_rc_identity(u, m, 4, 4)
+        want = per_word_rc([(u, m)], 4, 4, _identity)
         report = check_rc(u, m, cfg)
         assert want, (u, m)
         assert report.verdict == "counterexample"
@@ -625,13 +719,46 @@ def test_rc_sweep_counterexamples_match_the_per_word_sweep(monkeypatch):
                       budget=GOLDEN_BUDGET)
     pairs = rc_pairs(cfg)
     assert max(m for u, m in pairs) < 5
-    want = [c for u, m in pairs for c in _per_word_rc_identity(u, m, 5, 3)]
+    want = per_word_rc(pairs, 5, 3, _identity)
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
     assert len({p_oracle(side) for side in sides}) < len(set(sides))
     report = check_rc_sweep(cfg)
     assert report.verdict == "counterexample"
     assert report.counterexamples == tuple(want)
     assert report.checked == 2 * len(pairs) * count_words_up_to(5, 3)
+
+
+def _s1(t, m):
+    return bender_knuth(t, 1)
+
+
+@pytest.mark.parametrize("tau", [_identity, _s1])
+def test_rc_set_comparison_matches_the_per_tableau_oracle(monkeypatch, tau):
+    """Under a forced tau_m, an involution that keeps n-cell tableaux over
+    [w_alphabet], the set comparison of the two sides' fills finds the
+    counterexamples the per-tableau test finds.  The range has sides with
+    one P(side) (121 and 211) and pairs with m >= 3, which report holds."""
+    import plactic.harness as harness
+
+    monkeypatch.setattr(harness, "tau_m", tau)
+    cfg = SweepConfig(u_alphabet=3, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=4,
+                      budget=GOLDEN_BUDGET)
+    pairs = rc_pairs(cfg)
+    sides = [side for u, m in pairs if m < 3 for side in (u, rc_m(u, m))]
+    assert len({p_oracle(side) for side in sides}) < len(set(sides))
+    assert sum(1 for u, m in pairs if m >= 3) == 15
+    n_w = count_words_up_to(3, 4)
+    for u, m in pairs:
+        report = check_rc(u, m, cfg)
+        assert report.counterexamples == tuple(per_word_rc([(u, m)], 3, 4, tau)), (u, m)
+        assert report.checked == 2 * n_w
+        assert report.verdict == "holds" or m < 3, (u, m)
+    want = per_word_rc(pairs, 3, 4, tau)
+    report = check_rc_sweep(cfg)
+    assert len(want) > 100
+    assert report.verdict == "counterexample"
+    assert report.counterexamples == tuple(want)
+    assert report.checked == 2 * len(pairs) * n_w
 
 
 def test_rc_pairs_with_m_at_least_w_alphabet_cannot_fail(monkeypatch):
@@ -660,10 +787,12 @@ def test_rc_pairs_with_m_at_least_w_alphabet_cannot_fail(monkeypatch):
 
 
 def _count_calls(monkeypatch):
-    """Count the sweeps' kernel fills and tau_m image tests."""
+    """Count the sweeps' kernel fills, tau_m images and in_centralizer
+    tests (the harness imports no in_centralizer, so the patch adds one
+    that nothing calls)."""
     import plactic.harness as harness
 
-    calls = {"fills": 0, "tau_m": 0}
+    calls = {"fills": 0, "tau_m": 0, "in_centralizer": 0}
     fill, tau = harness.centralizer_tableaux, harness.tau_m
 
     def counted_fill(*args, **kwargs):
@@ -674,35 +803,44 @@ def _count_calls(monkeypatch):
         calls["tau_m"] += 1
         return tau(*args, **kwargs)
 
+    def counted_member(*args, **kwargs):
+        calls["in_centralizer"] += 1
+        return in_centralizer(*args, **kwargs)
+
     monkeypatch.setattr(harness, "centralizer_tableaux", counted_fill)
     monkeypatch.setattr(harness, "tau_m", counted_tau)
+    monkeypatch.setattr(harness, "in_centralizer", counted_member, raising=False)
     return calls
 
 
 def test_benchmark_sweeps_ask_each_membership_question_once(monkeypatch):
     """The perfbench sweeps make one fill per distinct (P(u), length), none
-    for a maxri u with max(u) >= w_alphabet, and one tau_m image test per
-    member tableau of a side whose pair has m < w_alphabet."""
+    for a maxri u with max(u) >= w_alphabet or u = a^k, none for an rc
+    pair with m >= w_alphabet, and one tau_m image per member tableau of
+    the first side of a pair with m < w_alphabet."""
     w7 = dict(w_alphabet=3, w_length=7, budget=GOLDEN_BUDGET)
     calls = _count_calls(monkeypatch)
 
     cfg = SweepConfig(u_alphabet=3, u_length=3, **w7)
     assert check_max_ri(cfg).verdict == "holds"
-    classes = {p_oracle(u) for u in _u_range(cfg) if max(u) < 3}
-    assert calls == {"fills": 96, "tau_m": 0} and 96 == len(classes) * 8  # was 312 = 39 * 8
+    classes = {p_oracle(u) for u in _u_range(cfg) if max(u) < 3 and len(set(u)) > 1}
+    # was 312 = 39 * 8, then 96 = 12 * 8 with the u with max(u) >= 3 skipped
+    assert calls == {"fills": 48, "tau_m": 0, "in_centralizer": 0} and 48 == len(classes) * 8
 
     calls.update(fills=0)
     assert check_stability((2, 1), SweepConfig(k_bound=4, **w7)).verdict == "holds"
-    assert calls == {"fills": 32, "tau_m": 0}
+    assert calls == {"fills": 32, "tau_m": 0, "in_centralizer": 0}
 
     calls.update(fills=0)
     cfg = SweepConfig(u_alphabet=3, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=6,
                       budget=GOLDEN_BUDGET)
     assert check_rc_sweep(cfg).verdict == "holds"
-    sides = [(side, m) for u, m in rc_pairs(cfg) for side in (u, rc_m(u, m))]
-    members = sum(len(centralizer_tableaux(side, n, 3)) for side, m in sides if m < 3 for n in range(7))
-    assert calls == {"fills": 133, "tau_m": 1150}  # was 147 and 2,390, then 133 and 1,215
-    assert 133 == len({p_oracle(side) for side, m in sides}) * 7 and members == 1150
+    tested = [(u, rc_m(u, m)) for u, m in rc_pairs(cfg) if m < 3]
+    members = sum(len(centralizer_tableaux(u, n, 3)) for u, v in tested for n in range(7))
+    # was 147 fills and 2,390 tau_m, then 133 and 1,215, then 133 and
+    # 1,150 with as many in_centralizer tests
+    assert calls == {"fills": 84, "tau_m": 575, "in_centralizer": 0}
+    assert 84 == len({p_oracle(side) for pair in tested for side in pair}) * 7 and members == 575
 
 
 def test_rc_sweep_is_check_rc_over_the_pairs_in_order(monkeypatch):
