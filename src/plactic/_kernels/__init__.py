@@ -12,7 +12,9 @@ long long, so a call with a letter beyond that range raises OverflowError
 there and is retried in pure Python.
 
 ``count_commuting`` and ``commuting_words`` are written once, here, on top
-of ``commuting_tableaux``.
+of ``commuting_tableaux``, and ``same_insertion`` (P(x) == P(y), the test
+behind ``in_centralizer`` and ``knuth_equivalent``) on top of
+``insertion_rows`` and the pure first-row pass.
 """
 
 from __future__ import annotations
@@ -50,6 +52,23 @@ def _retry_in_pure(name):
 
 insertion_rows = _retry_in_pure("insertion_rows")
 commuting_tableaux = _retry_in_pure("commuting_tableaux")
+
+
+def same_insertion(x, y):
+    """True iff the words x and y (tuples of ints) have the same insertion
+    tableau, P(x) == P(y).
+
+    Equal words are settled without insertion.  Otherwise the lengths and
+    the first rows must agree: row 1 of P(x) is ``_pure._row_pass([], x)``,
+    one bisect per letter, since bumped letters never come back to row 1.
+    That pass runs in Python on either backend.  Only words that agree on
+    both are inserted in full, through ``insertion_rows``.
+    """
+    if x == y:
+        return True
+    if len(x) != len(y) or _pure._row_pass([], x) != _pure._row_pass([], y):
+        return False
+    return insertion_rows(x) == insertion_rows(y)
 
 
 def count_commuting(u, n, m):

@@ -32,10 +32,11 @@ def default_budget() -> int:
 
 def in_centralizer(u: Iterable[int], w: Iterable[int]) -> bool:
     """True iff w is in C(u): uw is Knuth-equivalent to wu, that is,
-    P(uw) == P(wu)."""
+    P(uw) == P(wu).  ``_kernels.same_insertion`` decides it, and inserts in
+    full only when uw != wu and their first rows agree."""
     u = word(u)
     w = word(w)
-    return _kernels.insertion_rows(u + w) == _kernels.insertion_rows(w + u)
+    return _kernels.same_insertion(u + w, w + u)
 
 
 def test_single_letter_rows(u: int, w: Iterable[int]) -> bool:

@@ -35,8 +35,10 @@ def knuth_neighbors(w: Iterable[int]) -> frozenset:
 
 
 def knuth_equivalent(v: Iterable[int], w: Iterable[int]) -> bool:
-    """True iff v and w have the same insertion tableau."""
-    return _kernels.insertion_rows(word(v)) == _kernels.insertion_rows(word(w))
+    """True iff v and w have the same insertion tableau, decided by
+    ``_kernels.same_insertion``: equal words, then lengths and first rows,
+    then full insertion."""
+    return _kernels.same_insertion(word(v), word(w))
 
 
 def knuth_class(w: Iterable[int]) -> frozenset:

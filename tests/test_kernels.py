@@ -6,6 +6,7 @@ import pytest
 from plactic._kernels import _pure
 from plactic.centralizer import in_centralizer
 from plactic.enumeration import iter_ssyt
+from plactic.knuth import knuth_equivalent
 from plactic.tableau import iter_partitions
 
 from helpers import centralizer_oracle, commutes_oracle, insert_oracle, p_oracle, syt_count_oracle, words_over
@@ -157,11 +158,12 @@ def test_backends_expose_the_two_entry_points(speedups):
     for module in (_kernels, _pure, speedups):
         for name in ENTRY_POINTS:
             assert callable(getattr(module, name)), (module, name)
-        # membership is two insertion_rows calls in in_centralizer
+        # membership is same_insertion, written once in _kernels
         for name in ("commutes", "insert_rows"):
             assert not hasattr(module, name), (module, name)
-    # counting and listing the words are written once, over the tableau fill
-    for name in ("count_commuting", "commuting_words"):
+    # counting and listing the words are written once, over the tableau
+    # fill, and P(x) == P(y) once, over insertion_rows
+    for name in ("count_commuting", "commuting_words", "same_insertion"):
         assert callable(getattr(_kernels, name))
         assert not hasattr(_pure, name)
         assert not hasattr(speedups, name)
@@ -176,21 +178,77 @@ def test_backends_agree_on_insertion(speedups):
 
 
 def test_backends_agree_on_commutes(reload_kernels):
-    """in_centralizer gives the same answers on both backends, on short
-    words against the definition and on seeded 1000-1500-letter words,
-    letters up to 2^40 and u == w."""
+    """in_centralizer and knuth_equivalent give the same answers on both
+    backends, on short words against the definition and on seeded
+    1000-1500-letter words, letters up to 2^40 and u == w."""
     short = [(u, w) for u in words_over(3, 3) for w in words_over(3, 3)]
     long = _long_words()
     us = long[:3] + [(BIG, 1, BIG), (1,), ()]
     pairs = [(u, w) for u in us for w in long[:1] + [(BIG,), (1, 2), ()]]
     want = [commutes_oracle(u, w) for u, w in short]
+    equivalent = [p_oracle(u) == p_oracle(w) for u, w in short]
     verdicts = []
     for pure_env, backend in (("1", "pure"), (None, "c")):
         assert reload_kernels(pure_env).BACKEND == backend
         assert [in_centralizer(u, w) for u, w in short] == want, backend
+        assert [knuth_equivalent(u, w) for u, w in short] == equivalent, backend
         assert all(in_centralizer(u, u) for u in us), backend
-        verdicts.append([in_centralizer(u, w) for u, w in pairs])
+        verdicts.append([(in_centralizer(u, w), knuth_equivalent(u + w, w + u)) for u, w in pairs])
     assert verdicts[0] == verdicts[1]
+
+
+def _row_word(rows):
+    return tuple(a for row in reversed(rows) for a in row)
+
+
+def test_same_insertion_matches_the_oracle(reload_kernels):
+    """same_insertion(x, y) is P(x) == P(y) on both backends: every pair of
+    words in [3]^<=4, and seeded 1000-1500-letter words with letters up to
+    2^40 and beyond C long long, each against itself, its row word (equal
+    P, so the full insertion runs and says True), a word with the same
+    first row but other letters (the full insertion says False) and the
+    next word."""
+    short = list(words_over(3, 4))
+    p_short = [p_oracle(x) for x in short]
+    rng = random.Random(20261019)
+    long = _long_words() + [tuple(HUGE + rng.randint(-3, 3) for _ in range(1000))]
+    pairs = []
+    for i, w in enumerate(long):
+        # after (b, 1) row 1 is (1,) for every b > 1, so both words below
+        # share their first rows and differ in content
+        pairs += [(w, w), (w, _row_word(p_oracle(w))), ((2, 1) + w, (3, 1) + w), (w, long[i - 1])]
+    oracle = {x: p_oracle(x) for x in {x for pair in pairs for x in pair}}
+    want = [oracle[x] == oracle[y] for x, y in pairs]
+    assert want.count(True) == 2 * len(long)
+    for pure_env, backend in (("1", "pure"), (None, "c")):
+        _kernels = reload_kernels(pure_env)
+        assert _kernels.BACKEND == backend
+        for x, px in zip(short, p_short):
+            assert [_kernels.same_insertion(x, y) for y in short] == [px == py for py in p_short], (backend, x)
+        assert [_kernels.same_insertion(x, y) for x, y in pairs] == want, backend
+
+
+def test_same_insertion_inserts_only_when_the_first_rows_agree(pure_kernels, monkeypatch):
+    """Equal words and words whose first rows differ are settled without
+    insertion_rows: a random 1000+1000 pair and a (w w, w) pair make no
+    call.  A pair with equal first rows makes two."""
+    insertion_rows = _pure.insertion_rows
+    calls = []
+
+    def counted(w):
+        calls.append(len(w))
+        return insertion_rows(w)
+
+    monkeypatch.setattr(_pure, "insertion_rows", counted)
+    rng = random.Random(7)
+    u, w = (tuple(rng.randint(1, 100) for _ in range(1000)) for _ in range(2))
+    assert not in_centralizer(u, w) and calls == []
+    assert in_centralizer(w + w, w) and calls == []
+    assert in_centralizer((1,), (2, 1)) and calls == [3, 3]  # 121 and 211: row 1 is 11
+    calls.clear()
+    assert not knuth_equivalent((2, 1) + w, (3, 1) + w) and calls == [1002, 1002]
+    calls.clear()
+    assert knuth_equivalent(w, _row_word(p_oracle(w))) and calls == [1000, 1000]
 
 
 def test_backends_agree_on_counting(reload_kernels):
@@ -359,11 +417,15 @@ def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkey
         calls.clear()
         assert getattr(_kernels, name)(*args[name](HUGE)) == pure[name](*args[name](HUGE))
         assert calls[0] == name
-    # membership retries each insertion through insertion_rows' wrapper
+    # membership retries each insertion through insertion_rows' wrapper;
+    # uw == wu and first rows that differ are settled before any insertion
     calls.clear()
     assert in_centralizer((BIG, BIG), (BIG,)) and calls == []
     assert in_centralizer((HUGE, HUGE), (HUGE,))
     assert not in_centralizer((HUGE, 1, HUGE), (1,))
+    assert calls == []
+    assert in_centralizer((HUGE,), (HUGE, 1))  # H H 1 and H 1 H: row 1 is 1 H
+    assert not in_centralizer((HUGE, 1), (2, 1))  # H 1 2 1 and 2 1 H 1: row 1 is 1 1
     assert calls == ["insertion_rows"] * 4
     # the word listing retries through the fill's wrapper
     calls.clear()
