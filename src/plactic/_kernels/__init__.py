@@ -4,9 +4,9 @@ The two backend entry points are ``insertion_rows`` and
 ``commuting_tableaux``.  ``_pure`` implements them in Python.  The C
 extension ``_speedups`` (built from ``_speedups.c`` by
 ``python setup.py build_ext --inplace``) implements the same two, with the
-same results; its tableau fill is the pure one without the row-1 test at
-the last cell.  The C module is used when it
-is importable; PLACTIC_PURE=1, and no other value, forces pure Python.
+same results; both run the one tableau fill that ``_pure`` describes,
+bump rules and row-1 test included.  The C module is used when it is
+importable; PLACTIC_PURE=1, and no other value, forces pure Python.
 ``BACKEND`` is ``"c"`` or ``"pure"``.  The C module holds letters as C
 long long, so a call with a letter beyond that range raises OverflowError
 there and is retried in pure Python.

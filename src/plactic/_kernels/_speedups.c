@@ -1,8 +1,9 @@
 /* Compiled insertion kernels in C99, with the two entry points and the
- * results of plactic._kernels._pure.  commuting_tableaux is the same
- * backtracking fill as in pure, checked against the brute-force definition
- * by the tests.  Counting and listing the words are done in
- * plactic._kernels over commuting_tableaux.
+ * results of plactic._kernels._pure.  commuting_tableaux is the fill of
+ * pure, with its bump rules and its row-1 test at the last cell, which
+ * the docstring of _pure describes; the tests check it against the
+ * unpruned fill and the brute-force definition.  Counting and listing the
+ * words are done in plactic._kernels over commuting_tableaux.
  *
  * Letters are C long long.  A letter outside that range raises
  * OverflowError, and plactic._kernels retries such a call in pure Python.
@@ -20,6 +21,8 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The row offsets of tableaux of at most N cells in at most R <= N rows. */
@@ -43,6 +46,21 @@ static long long *new_tableaux(const Py_ssize_t *off, Py_ssize_t R, Py_ssize_t n
     return tabs;
 }
 
+/* The index of the leftmost of row[0..len) strictly greater than a, or
+ * len. */
+static long long row_bisect(const long long *row, long long len, long long a)
+{
+    long long lo = 0;
+    while (lo < len) {
+        long long mid = (lo + len) / 2;
+        if (row[mid] <= a)
+            lo = mid + 1;
+        else
+            len = mid;
+    }
+    return lo;
+}
+
 /* Bump the leftmost entry strictly greater than a, row by row; return the
  * row that grew. */
 static long long tab_insert(long long *t, const Py_ssize_t *off, long long a)
@@ -55,22 +73,14 @@ static long long tab_insert(long long *t, const Py_ssize_t *off, long long a)
             t[0]++;
             return r;
         }
-        long long lo = 0;
-        long long hi = t[1 + r];
-        while (lo < hi) {
-            long long mid = (lo + hi) / 2;
-            if (row[mid] <= a)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo == t[1 + r]) {
-            row[lo] = a;
+        long long pos = row_bisect(row, t[1 + r], a);
+        if (pos == t[1 + r]) {
+            row[pos] = a;
             t[1 + r]++;
             return r;
         }
-        long long bumped = row[lo];
-        row[lo] = a;
+        long long bumped = row[pos];
+        row[pos] = a;
         a = bumped;
     }
 }
@@ -210,13 +220,67 @@ static int next_shape(long long *t, long long R)
     return 0;
 }
 
+static int compare_letters(const void *x, const void *y)
+{
+    long long a = *(const long long *)x;
+    long long b = *(const long long *)y;
+    return (a > b) - (a < b);
+}
+
+/* The least of the sorted letters[0..len) that is >= v (v >= 1), or
+ * LLONG_MAX when there is none. */
+static long long letter_from(const long long *letters, long long len, long long v)
+{
+    long long pos = row_bisect(letters, len, v - 1);
+    return pos < len ? letters[pos] : LLONG_MAX;
+}
+
+/* The bump rules at cell j of the top row, whose cells left of j hold
+ * top[0..j): the least value >= v (v >= 1) that they allow there.  A
+ * value above u[0] while every cell left of it is at most u[0] (the row
+ * rule), or at least u[-1] in the first cell (the column rule), must be a
+ * letter of u; LLONG_MAX when no letter is left. */
+static long long top_value(long long v, long long j, const long long *top, const long long *letters,
+                           Py_ssize_t ulen, long long u_first, long long u_last)
+{
+    if (ulen > 0 && ((v > u_first && (j == 0 || top[j - 1] <= u_first)) || (j == 0 && v >= u_last)))
+        return letter_from(letters, ulen, v);
+    return v;
+}
+
+/* Whether row 1 of t <- u equals row 1 of state <- v, with v the last
+ * entry of the first row of t.  Row 1 of t <- u is the row pass of u over
+ * that row, made in pass (room for t[1] + ulen letters): each letter
+ * replaces the leftmost entry greater than it, or is appended, since
+ * bumped letters never come back to row 1. */
+static int first_rows_agree(const long long *t, const long long *state, const Py_ssize_t *off,
+                            const long long *u, Py_ssize_t ulen, long long v, long long *pass)
+{
+    long long len = t[1];
+    memcpy(pass, t + off[0], len * sizeof(long long));
+    for (Py_ssize_t a = 0; a < ulen; a++) {
+        long long pos = row_bisect(pass, len, u[a]);
+        pass[pos] = u[a];
+        if (pos == len)
+            len++;
+    }
+    const long long *first = state + off[0];
+    long long slen = state[1];
+    long long pos = row_bisect(first, slen, v);
+    return len == (pos == slen ? slen + 1 : slen) && pass[pos] == v &&
+           memcmp(pass, first, pos * sizeof(long long)) == 0 &&
+           memcmp(pass + pos + 1, first + pos + 1, (len - pos - 1) * sizeof(long long)) == 0;
+}
+
 /* The tableaux T with n cells and entries in [1, m] for which
- * T <- u == P(u) <- rowword(T), as in plactic._kernels._pure and in its
- * order: shapes in reverse lexicographic order, then row words in
+ * T <- u == P(u) <- rowword(T), by the fill of plactic._kernels._pure and
+ * in its order: shapes in reverse lexicographic order, then row words in
  * lexicographic order.  Each shape is filled by backtracking in row-word
  * order, bottom row first and left to right, while one tableau
  * P(u) <- (the row word so far) is kept: insert on the way down,
- * reverse-bump on the way back. */
+ * reverse-bump on the way back.  The bump rules skip values of column 1
+ * and of the top row, and a value of the last cell is tested in full only
+ * when the first rows of both sides agree. */
 static PyObject *commuting_tableaux(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"u", "n", "m", NULL};
@@ -240,9 +304,10 @@ static PyObject *commuting_tableaux(PyObject *self, PyObject *args, PyObject *kw
     Py_ssize_t R = m < n ? m + ulen : N;
     Py_ssize_t *off = u == NULL ? NULL : row_offsets(N, R);
     /* state = P(u) <- the row word so far, t = the filling, tu = t <- u,
-     * then per filled cell (a stack) the row of state its insertion grew
-     * (off[R] > n slots). */
-    long long *state = off == NULL ? NULL : new_tableaux(off, R, 4);
+     * then, in blocks of off[R] >= N slots: per filled cell (a stack) the
+     * row of state its insertion grew, the letters of u sorted, and the
+     * row pass of the last cell. */
+    long long *state = off == NULL ? NULL : new_tableaux(off, R, 6);
     PyObject *found = state == NULL ? NULL : PyList_New(0);
     PyObject *result = NULL;
     if (found == NULL)
@@ -250,8 +315,14 @@ static PyObject *commuting_tableaux(PyObject *self, PyObject *args, PyObject *kw
     long long *t = state + off[R];
     long long *tu = state + 2 * off[R];
     long long *grew = state + 3 * off[R];
+    long long *letters = state + 4 * off[R];
+    long long *pass = state + 5 * off[R];
     for (Py_ssize_t i = 0; i < ulen; i++)
         tab_insert(state, off, u[i]);
+    memcpy(letters, u, ulen * sizeof(long long));
+    qsort(letters, ulen, sizeof(long long), compare_letters);
+    long long u_first = ulen > 0 ? u[0] : 0;
+    long long u_last = ulen > 0 ? u[ulen - 1] : 0;
     t[0] = 1;
     t[1] = n;
     do {
@@ -261,32 +332,47 @@ static PyObject *commuting_tableaux(PyObject *self, PyObject *args, PyObject *kw
         long long k = 0;
         long long v = bottom + 1;
         for (;;) {
+            long long *row = t + off[i];
             long long hi = i < bottom && j < t[2 + i] ? t[off[i + 1] + j] - 1 : m;
+            if (ulen > 0 && j == 0 && i < bottom && v < u_last) {
+                /* Column rule: u[-1] would displace the first entry of
+                 * the row below from column 1. */
+                long long below = t[off[i + 1]];
+                if (below >= u_last && letter_from(letters, ulen, below) != below)
+                    v = u_last;
+            }
+            if (i == 0)
+                v = top_value(v, j, row, letters, ulen, u_first, u_last);
+            if (k == n - 1) {
+                /* The top row's last cell: test every value it can take. */
+                for (; v <= hi; v = top_value(v + 1, j, row, letters, ulen, u_first, u_last)) {
+                    row[j] = v;
+                    if (!first_rows_agree(t, state, off, u, ulen, v, pass))
+                        continue;
+                    long long end = tab_insert(state, off, v);
+                    tab_copy(tu, t, off);
+                    for (Py_ssize_t a = 0; a < ulen; a++)
+                        tab_insert(tu, off, u[a]);
+                    if (tab_equal(tu, state, off)) {
+                        PyObject *rows = tab_rows(t, off);
+                        if (rows == NULL || PyList_Append(found, rows) < 0) {
+                            Py_XDECREF(rows);
+                            goto done;
+                        }
+                        Py_DECREF(rows);
+                    }
+                    tab_uninsert(state, off, end);
+                }
+            }
             if (v <= hi) {
-                t[off[i] + j] = v;
+                row[j] = v;
                 grew[k++] = tab_insert(state, off, v);
-                if (k < n) {
-                    /* Step to the next cell of the row word. */
-                    if (++j == t[1 + i]) {
-                        i--;
-                        j = 0;
-                    }
-                    v = j == 0 ? i + 1 : t[off[i] + j - 1];
-                    continue;
+                /* Step to the next cell of the row word. */
+                if (++j == t[1 + i]) {
+                    i--;
+                    j = 0;
                 }
-                tab_copy(tu, t, off);
-                for (Py_ssize_t a = 0; a < ulen; a++)
-                    tab_insert(tu, off, u[a]);
-                if (tab_equal(tu, state, off)) {
-                    PyObject *rows = tab_rows(t, off);
-                    if (rows == NULL || PyList_Append(found, rows) < 0) {
-                        Py_XDECREF(rows);
-                        goto done;
-                    }
-                    Py_DECREF(rows);
-                }
-                tab_uninsert(state, off, grew[--k]);
-                v++;
+                v = j == 0 ? i + 1 : t[off[i] + j - 1];
                 continue;
             }
             if (k == 0)

@@ -160,7 +160,7 @@ def cli_dispatch(argv) -> int:
         if args.command == "centralizer":
             found = centralizer_words(parse_word(args.u), args.len, args.max)
             if args.json:
-                print(_dump({"words": [list(w) for w in found]}))
+                print(_dump({"words": found}))  # json writes tuples as arrays
             else:
                 for w in found:
                     print(format_word(w))

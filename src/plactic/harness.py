@@ -335,16 +335,28 @@ def _rc_members(pairs: list, cfg: SweepConfig, fill_settled: bool) -> tuple:
     side v, whose other side is rc_m(v, m) = u, on B minus tau_m(A), since
     tau_m is an involution.  tau_m of a failing b in B is taken only for
     its detail.  Side v's failures are kept for its own blocks, which read
-    no fill.  Returns _sweep_members's triple and tableaux."""
+    no fill.  So are those of a later twin pair (v, m), when it is in
+    range: it compares the same two fills, mirrored, so its sides v and u
+    fail on exactly v's and u's failures here, with the same details.
+    Returns _sweep_members's triple and tableaux."""
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
     tableaux = [0] * len(sides)
+    index = {pair: p for p, pair in enumerate(pairs)}
+    twins = {}  # p -> q when pairs[q] is (v, m) for pairs[p] = (u, m), q > p
+    for p, (u, m) in enumerate(pairs):
+        q = index.get((sides[2 * p + 1], m), p)
+        if m < cfg.w_alphabet and q > p:
+            twins[p] = q
+    mirrored = set(twins.values())
     reads = []
     for p, (u, m) in enumerate(pairs):
-        if m < cfg.w_alphabet:
-            reads += [(2 * p, 2 * p + 1), ()]
-        else:
+        if m >= cfg.w_alphabet:
             reads += [(2 * p,), (2 * p + 1,)] if fill_settled else [(), ()]
-    later: dict = {}
+        elif p in mirrored:
+            reads += [(), ()]
+        else:
+            reads += [(2 * p, 2 * p + 1), ()]
+    settled: dict = {}
 
     def judge(i, n, fills):
         for j, fill in zip(reads[i], fills):
@@ -352,16 +364,21 @@ def _rc_members(pairs: list, cfg: SweepConfig, fill_settled: bool) -> tuple:
         m = pairs[i // 2][1]
         if m >= cfg.w_alphabet:
             return []
-        if i % 2:
-            return later.pop(n)
+        if not reads[i]:
+            return settled.pop((i, n))
         a_fill, b_fill = fills
         images = [tau_m(a, m) for a in a_fill]
         b_rows = {b.rows for b in b_fill}
         image_rows = {image.rows for image in images}
-        later[n] = [(b, _rc_detail(tau_m(b, m), m, sides[i])) for b in b_fill
+        a_failed = [(a, _rc_detail(image, m, sides[i + 1])) for a, image in zip(a_fill, images)
+                    if image.rows not in b_rows]
+        b_failed = [(b, _rc_detail(tau_m(b, m), m, sides[i])) for b in b_fill
                     if b.rows not in image_rows]
-        return [(a, _rc_detail(image, m, sides[i + 1])) for a, image in zip(a_fill, images)
-                if image.rows not in b_rows]
+        settled[i + 1, n] = b_failed
+        if i // 2 in twins:
+            q = twins[i // 2]
+            settled[2 * q, n], settled[2 * q + 1, n] = b_failed, a_failed
+        return a_failed
 
     return _sweep_members(sides, cfg, judge, reads), tableaux
 

@@ -52,6 +52,51 @@ def centralizer_oracle(u, n, m):
     return [w for w in itertools.product(range(1, m + 1), repeat=n) if commutes_oracle(u, w)]
 
 
+def partitions_oracle(n, largest):
+    """Partitions of n with parts <= largest, in reverse lexicographic
+    order."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions_oracle(n - first, first):
+            yield (first,) + rest
+
+
+def fill_oracle(u, n, m):
+    """The member tableaux of C(u) with n cells and entries <= m, in the
+    order of the kernels' fills, by their backtracking with no pruning:
+    shapes of at most m rows in reverse lexicographic order, and in each
+    every SSYT, filled in row-word order (bottom row first, left to right)
+    while P(u) <- (the row word so far) is carried along, then tested in
+    full: T <- u == P(u) <- rowword(T)."""
+    if n == 0:
+        return [()]
+    found = []
+    for shape in partitions_oracle(n, n):
+        if len(shape) > m:
+            continue
+        cells = [(i, j) for i in reversed(range(len(shape))) for j in range(shape[i])]
+        t = [[0] * length for length in shape]
+
+        def fill(k, state):
+            if k == len(cells):
+                tu = [list(row) for row in t]
+                for a in u:
+                    tu = insert_oracle(tu, a)
+                if tu == state:
+                    found.append(tuple(tuple(row) for row in t))
+                return
+            i, j = cells[k]
+            lo = max(i + 1, t[i][j - 1] if j else 1)
+            hi = t[i + 1][j] - 1 if i + 1 < len(shape) and j < shape[i + 1] else m
+            for v in range(lo, hi + 1):
+                t[i][j] = v
+                fill(k + 1, insert_oracle(state, v))
+
+        fill(0, [list(row) for row in p_oracle(u)])
+    return found
+
+
 def per_word_counterexamples(us, w_alphabet, w_length, detail):
     """Counterexample payloads of a sweep made word by word: every member w
     of C(us[i]), length by length and in lexicographic order, with

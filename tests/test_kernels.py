@@ -1,5 +1,9 @@
+import itertools
+import json
+import pathlib
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -9,12 +13,21 @@ from plactic.enumeration import iter_ssyt
 from plactic.knuth import knuth_equivalent
 from plactic.tableau import iter_partitions
 
-from helpers import centralizer_oracle, commutes_oracle, insert_oracle, p_oracle, syt_count_oracle, words_over
+from helpers import (
+    centralizer_oracle,
+    commutes_oracle,
+    fill_oracle,
+    insert_oracle,
+    p_oracle,
+    syt_count_oracle,
+    words_over,
+)
 
 ENTRY_POINTS = ("insertion_rows", "commuting_tableaux")
 BIG = 2**40  # beyond C int, inside C long long
 HUGE = 10**19  # beyond C long long
 SCAN_WORDS = ((), (1,), (2, 1), (1, 2), (2, 1, 2), (BIG, 1), (BIG, BIG))
+PERFBENCH_EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def _long_words():
@@ -124,11 +137,153 @@ ROW_ONE_EDGES = [
 
 @pytest.mark.parametrize("u, n, m", ROW_ONE_EDGES)
 def test_fill_row_one_test_edges(speedups, u, n, m):
-    """The pure fill rejects most values of the last cell on row 1 alone;
-    at the edges of that test it still lists the definition's member
-    tableaux, exactly as the C fill, which tests every value in full."""
+    """Both fills reject most values of the last cell on row 1 alone; at
+    the edges of that test they still list the definition's member
+    tableaux, and the same ones."""
     _fill_matches_oracle(_pure.commuting_tableaux, u, n, m)
     assert _pure.commuting_tableaux(u, n, m) == speedups.commuting_tableaux(u, n, m)
+
+
+def _column_one_insert(column, x):
+    """Column 1 of x -> T from column 1 of T: x replaces the smallest
+    entry >= x, or goes at the foot.  Entries are (letter, tag) pairs,
+    compared by letter; returns the new column and the entry that left."""
+    k = next((k for k, (y, _) in enumerate(column) if y >= x[0]), None)
+    if k is None:
+        return column + [x], None
+    return column[:k] + [x] + column[k + 1 :], column[k]
+
+
+def test_column_one_of_p_from_the_left():
+    """Column 1 of P(x w) is column 1 of P(w) after column-inserting x,
+    the fact behind the column rule (P(x w) = x -> P(w))."""
+    for w in words_over(3, 5):
+        column = [(row[0], None) for row in p_oracle(w)]
+        for x in range(1, 5):
+            want = [row[0] for row in p_oracle((x,) + w)]
+            assert [y for y, _ in _column_one_insert(column, (x, None))[0]] == want, (x, w)
+
+
+def _bump_rules(u, t):
+    """The fill's two bump rules on T = t and u, each in full and in the
+    cheapest form the fill uses, as four booleans.  Row rule: the entries
+    of row 1 of T that inserting u bumps out of it are letters of u, as a
+    multiset; the first of them, the leftmost entry > u[0], is one.  Column
+    rule: the column-1 entries of T that column-inserting u[-1], ..., u[0]
+    displaces are letters of u, as a multiset; the first of them, the
+    smallest column-1 entry >= u[-1], is one.  Entries are tagged by
+    origin, so a letter of u that leaves again is not counted."""
+    top = t[0] if t else ()
+    row = [(y, "T") for y in top]
+    bumped = []
+    for a in u:
+        k = next((k for k, (y, _) in enumerate(row) if y > a), None)
+        if k is None:
+            row.append((a, "u"))
+        else:
+            row[k], (b, origin) = (a, "u"), row[k]
+            if origin == "T":
+                bumped.append(b)
+    column = [(r[0], "T") for r in t]
+    displaced = []
+    for a in reversed(u):
+        column, left = _column_one_insert(column, (a, "u"))
+        if left is not None and left[1] == "T":
+            displaced.append(left[0])
+    first_column = [r[0] for r in t]
+
+    def within(xs, ys):
+        return not Counter(xs) - Counter(ys)
+
+    first_above = next((y for y in top if y > u[0]), None) if u else None
+    first_at_least = min((y for y in first_column if y >= u[-1]), default=None) if u else None
+    return (
+        within(bumped, u),
+        first_above is None or first_above in u,
+        within(displaced, u),
+        first_at_least is None or first_at_least in u,
+    )
+
+
+def test_members_satisfy_the_bump_rules():
+    """Every member of C(u) in [m]^n satisfies both rules, by the
+    definition applied to every word; and each cheapest form turns some
+    non-member away, so the rules are not empty."""
+    rejected = Counter()
+    for u in words_over(3, 3, min_len=1):
+        for n in range(1, 6):
+            for w in itertools.product(range(1, 4), repeat=n):
+                rules = _bump_rules(u, p_oracle(w))
+                if commutes_oracle(u, w):
+                    assert all(rules), (u, w, rules)
+                else:
+                    rejected.update(i for i, ok in enumerate(rules) if not ok)
+    assert rejected[1] > 0 and rejected[3] > 0, rejected
+
+
+def _fill_cases():
+    """u over [4]^<=3 with n <= 6 and m <= 5; seeded random u of up to six
+    letters over [5], with repeats; u = () and u = (2^40, 1)."""
+    cases = [(u, n, m) for u in words_over(4, 3) for n in range(7) for m in range(-1, 6)]
+    rng = random.Random(20261019)
+    for _ in range(120):
+        u = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 6)))
+        cases.append((u, rng.randint(0, 6), rng.randint(1, 5)))
+    cases += [(u, n, m) for u in ((), (BIG, 1), (3, 3, 1, 1, 2, 2)) for n in range(7) for m in range(1, 5)]
+    return cases
+
+
+def test_pruned_fills_list_the_unpruned_fill(speedups):
+    """Both backends' fills, pruned by the bump rules and the row-1 test,
+    list exactly the tableaux of the unpruned backtracking fill, in its
+    order."""
+    for u, n, m in _fill_cases():
+        want = fill_oracle(u, n, m)
+        assert _pure.commuting_tableaux(u, n, m) == want, (u, n, m)
+        assert speedups.commuting_tableaux(u, n, m) == want, (u, n, m)
+
+
+def test_pruned_fills_at_the_benchmark_jobs(capsys, speedups, monkeypatch):
+    """Every fill that a sweep or scan job of perfbench/expected.json asks
+    for, on both backends, against the unpruned fill."""
+    from plactic import _kernels
+    from plactic.cli import cli_dispatch
+
+    expected = json.loads(PERFBENCH_EXPECTED.read_text())
+    asked = set()
+    real = _kernels.commuting_tableaux
+
+    def recorded(u, n, m):
+        asked.add((tuple(u), n, m))
+        return real(u, n, m)
+
+    monkeypatch.setattr(_kernels, "commuting_tableaux", recorded)
+    for workload in ("sweep", "scan"):
+        for key in expected[workload]:
+            assert cli_dispatch(key.split()) == 0, key
+    capsys.readouterr()
+    assert {(9, 4), (10, 3), (7, 5), (8, 4)} <= {(n, m) for u, n, m in asked}
+    assert len(asked) > 100
+    for u, n, m in sorted(asked):
+        want = fill_oracle(u, n, m)
+        assert _pure.commuting_tableaux(u, n, m) == want, (u, n, m)
+        assert speedups.commuting_tableaux(u, n, m) == want, (u, n, m)
+
+
+def test_row_one_tests_at_the_last_cell(monkeypatch):
+    """The bump rules, also in the last-cell loop, leave the pure fill one
+    row-1 test per member tableau for u = 1, n = 9, m = 4, and 596 for
+    u = 21, where it made 3,740 for each without them; and 269 for
+    u = (2^40, 1), n = 8, m = 3, where only the column rule at the top
+    row's first cell fires (294 without it)."""
+    tests = []
+    real = _pure._row_pass
+    monkeypatch.setattr(_pure, "_row_pass", lambda row, letters: tests.append(1) or real(row, letters))
+    for u, n, m, want in (((1,), 9, 4, 138), ((2, 1), 9, 4, 596), ((BIG, 1), 8, 3, 269)):
+        tests.clear()
+        found = _pure.commuting_tableaux(u, n, m)
+        assert len(tests) == want >= len(found), (u, n, m)
+    assert len(_pure.commuting_tableaux((1,), 9, 4)) == 138
 
 
 def test_membership_depends_on_the_insertion_tableau_alone():
