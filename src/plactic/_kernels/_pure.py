@@ -33,7 +33,7 @@ before the full test: row 1 of T <- u depends on row 1 of T alone, and
 row 1 of state <- v on row 1 of state alone.  The unpruned fill is kept
 as the tests' oracle, beside the brute-force definition.  Counting and
 listing the words are written once, in plactic._kernels, over
-``commuting_tableaux``; the word listing reverse-bumps with ``_pop``.
+``commuting_tableaux``.
 
 Tableaux are passed around as tuples of row tuples (top row first).
 """

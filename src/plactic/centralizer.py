@@ -158,10 +158,24 @@ def _scan_of(u: Iterable[int], n: int, m: int, budget) -> Word:
 def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
     """All w in [m]^n with P(uw) == P(wu), in lexicographic order.
 
-    Raises BudgetExceeded when m^n is over the word budget.
+    The list holds every word.  ``plactic centralizer`` streams the same
+    words block by block instead, and never holds them.  Raises
+    BudgetExceeded when m^n is over the word budget.
     """
     u = _scan_of(u, n, m, budget)
     return _kernels.commuting_words(u, n, m)
+
+
+def _centralizer_blocks(u: Iterable[int], n: int, m: int, budget=None, **spelling):
+    """The words of centralizer_words(u, n, m) as the blocks (prefix,
+    suffixes) of ``_kernels.class_blocks``, spelled as ``spelling`` says
+    (tuples of ints by default).
+
+    The budget is checked here, before the first block: raises
+    BudgetExceeded when m^n is over the word budget.
+    """
+    u = _scan_of(u, n, m, budget)
+    return _kernels.class_blocks(_kernels.commuting_tableaux(u, n, m), n, **spelling)
 
 
 def centralizer_tableaux(u: Iterable[int], n: int, m: int, budget=None) -> list:

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .centralizer import centralizer_words, count_centralizer_words, in_centralizer
+from .centralizer import _centralizer_blocks, count_centralizer_words, in_centralizer
 from .enumeration import expand_binomial
 from .errors import PlacticError
 from .harness import (
@@ -90,6 +90,38 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return parser
 
 
+class _Digits(dict):
+    """str(a) for each letter a, each computed once."""
+
+    def __missing__(self, a):
+        text = self[a] = str(a)
+        return text
+
+
+def _print_words(u, n: int, m: int, as_json: bool):
+    """Print the centralizer words of [m]^n block by block, so the word
+    list is never held: with --json the bytes of
+    _dump({"words": centralizer_words(u, n, m)}) and a newline, else one
+    format_word line per word.  The budget is checked before anything is
+    written."""
+    out = sys.stdout
+    if not as_json:
+        for prefix, suffixes in _centralizer_blocks(u, n, m):
+            out.write("".join([format_word(prefix + s) + "\n" for s in suffixes]))
+        return
+    # A prefix is spelled "[a,b" and a suffix ",c,d]", so the words of a
+    # block, joined by commas, are one join of its suffixes.
+    digits = _Digits()
+    blocks = _centralizer_blocks(u, n, m, letter=lambda a: "," + digits[a], end="]",
+                                head=lambda prefix: "[" + ",".join(map(digits.__getitem__, prefix)))
+    out.write('{"words":[')
+    sep = ""
+    for prefix, suffixes in blocks:
+        out.write(sep + prefix + ("," + prefix).join(suffixes))
+        sep = ","
+    out.write("]}\n")
+
+
 def _print_report(report: SweepReport, as_json: bool):
     if as_json:
         print(report.to_json())
@@ -158,12 +190,7 @@ def cli_dispatch(argv) -> int:
             print(_dump({"commutes": ans}) if args.json else ("true" if ans else "false"))
             return 0
         if args.command == "centralizer":
-            found = centralizer_words(parse_word(args.u), args.len, args.max)
-            if args.json:
-                print(_dump({"words": found}))  # json writes tuples as arrays
-            else:
-                for w in found:
-                    print(format_word(w))
+            _print_words(parse_word(args.u), args.len, args.max, args.json)
             return 0
         if args.command == "count":
             n = count_centralizer_words(parse_word(args.u), args.len, args.max)

@@ -174,8 +174,9 @@ def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> 
                 block = len(counterexamples)
                 for t, detail in found:
                     counterexamples.extend(
-                        {"u": list(u), "w": list(w), "detail": detail}
-                        for w in _kernels.class_words([t.rows], t.size)
+                        {"u": list(u), "w": list(prefix + s), "detail": detail}
+                        for prefix, suffixes in _kernels.class_blocks([t.rows], t.size)
+                        for s in suffixes
                     )
                 counterexamples[block:] = sorted(counterexamples[block:], key=lambda c: c["w"])
                 checked += cfg.w_alphabet**n
@@ -238,6 +239,13 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
     return _report("maxri", cfg.echo(), t0, checked, cx, complete, {"u_words": len(us)})
 
 
+def _least_word(t) -> tuple:
+    """The least word of the Knuth class of ``t``: the first word of its
+    first block."""
+    prefix, suffixes = next(_kernels.class_blocks([t.rows], t.size))
+    return prefix + suffixes[0]
+
+
 def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
     """Compute S_k = C(u^k) within the w range for k = 1..k_bound and
     report the smallest K (resp. L) from which the containments
@@ -263,7 +271,7 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
         for k in range(1, cfg.k_bound):
             diff = sets[k] - sets[k + 1]
             if diff:
-                witness = min(_kernels.class_words([t.rows], t.size)[0] for t in diff)
+                witness = min(_least_word(t) for t in diff)
                 bad_containment = k
                 non_containments.append({"k": k, "w": list(witness)})
             if sets[k] != sets[k + 1]:

@@ -186,6 +186,56 @@ def knuth_class_oracle(w):
     return frozenset(seen)
 
 
+def class_words_oracle(tableaux, n):
+    """The words w with P(w) in ``tableaux`` (tuples of row tuples of n
+    cells), in lexicographic order, by the letter-by-letter walk the
+    listing used before its split walk: the insertion paths are built
+    back level by level, reverse-bumping each corner by linear scan, and
+    then walked from the empty tableau, one stack step per letter."""
+    level = {rows: i for i, rows in enumerate(tableaux)}
+    if not level:
+        return []
+    if n == 0:
+        return [()]
+    edges = [None] * n
+    for k in range(n - 1, -1, -1):
+        below = {}
+        out = []
+        for rows, i in level.items():
+            for r, row in enumerate(rows):
+                if r + 1 < len(rows) and len(rows[r + 1]) == len(row):
+                    continue  # not a corner row
+                top = [list(x) for x in rows[: r + 1]]
+                a = top[r].pop()
+                for x in reversed(top[:r]):
+                    pos = max(j for j, v in enumerate(x) if v < a)
+                    x[pos], a = a, x[pos]
+                s = tuple(tuple(x) for x in top if x) + rows[r + 1 :]
+                j = below.setdefault(s, len(out))
+                if j == len(out):
+                    out.append([])
+                out[j].append((a, i))
+        edges[k] = [sorted(e) for e in out]
+        level = below
+    found = []
+    word = []
+    stack = [iter(edges[0][0])]
+    while stack:
+        for a, i in stack[-1]:
+            word.append(a)
+            if len(word) == n:
+                found.append(tuple(word))
+                word.pop()
+            else:
+                stack.append(iter(edges[len(word)][i]))
+            break
+        else:
+            stack.pop()
+            if word:
+                word.pop()
+    return found
+
+
 def words_over(alphabet, max_len, min_len=0):
     for n in range(min_len, max_len + 1):
         yield from itertools.product(range(1, alphabet + 1), repeat=n)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -101,6 +102,88 @@ def test_listing_and_count_bytes_do_not_depend_on_the_backend(capsys, reload_ker
     for (u, n, m), listing in zip(cases, pure[::2]):
         words = centralizer_oracle(u, n, m)
         assert listing == json.dumps({"words": [list(w) for w in words]}, separators=(",", ":")) + "\n"
+
+
+# (u as typed, n, m): n = 0, m = 0 (no words), n = 1, u = "" (every word
+# commutes) and letters of two digits, which the text form writes "12,"
+# when the word has one letter.
+LISTING_CASES = (
+    [(u, n, m) for u in ("1", "21", "12", "212", "") for n in range(0, 5) for m in range(0, 4)]
+    + [("12,", 2, 12), ("12,", 1, 12), ("10,", 1, 12), ("", 2, 11), ("3,10", 3, 10)]
+)
+
+
+def test_listing_bytes_equal_the_word_list_on_both_backends(capsys, reload_kernels):
+    """The streamed listing prints, in both modes and on both backends,
+    exactly the bytes of the list centralizer_words returns: its _dump
+    with --json, and one format_word line per word without."""
+    from plactic.cli import _dump
+
+    for pure_env in ("1", None):
+        kernels = reload_kernels(pure_env)
+        for u, n, m in LISTING_CASES:
+            words = plactic.centralizer_words(plactic.parse_word(u), n, m)
+            argv = ("centralizer", u, "--len", str(n), "--max", str(m))
+            assert run(capsys, *argv, "--json") == (0, _dump({"words": words}) + "\n", ""), (kernels.BACKEND, u, n, m)
+            text = "".join(plactic.format_word(w) + "\n" for w in words)
+            assert run(capsys, *argv) == (0, text, ""), (kernels.BACKEND, u, n, m)
+    assert run(capsys, "centralizer", "1", "--len", "0", "--max", "3", "--json")[1] == '{"words":[[]]}\n'
+    assert run(capsys, "centralizer", "1", "--len", "3", "--max", "0", "--json")[1] == '{"words":[]}\n'
+    assert run(capsys, "centralizer", "12,", "--len", "1", "--max", "12")[1] == "12,\n"
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_refused_listing_prints_nothing(capsys, monkeypatch, mode):
+    """A listing over the word budget exits 2 before any byte of it is
+    written, by the default budget and by PLACTIC_BUDGET."""
+    code, out, err = run(capsys, "centralizer", "1", "--len", "30", "--max", "4", *mode)
+    assert (code, out) == (2, "") and err.startswith("error: words in [4]^30")
+    monkeypatch.setenv("PLACTIC_BUDGET", "8")
+    code, out, err = run(capsys, "centralizer", "", "--len", "2", "--max", "3", *mode)
+    assert (code, out) == (2, "") and err.startswith("error: words in [3]^2: 9, over the budget 8")
+
+
+class _Sink:
+    """A stdout that discards what is written, keeping its length and the
+    number of "[" that open the listed words."""
+
+    def __init__(self):
+        self.size = 0
+        self.opened = 0
+
+    def write(self, text):
+        self.size += len(text)
+        self.opened += text.count("[")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_large_listing_streams_in_bounded_memory(capsys, monkeypatch):
+    """centralizer "" --len 10 --max 4 --json writes all 4^10 = 1,048,576
+    words (23 MB of text) while the traced peak stays under 32 MiB: the
+    word list is never held, only the levels, the edges and one level of
+    suffix tables (about 5 MiB).  Holding the list of tuples alone takes
+    over 100 MiB.  The bytes of a smaller listing are checked in full."""
+    import tracemalloc
+
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli_dispatch(["centralizer", "", "--len", "10", "--max", "4", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert code == 0
+    assert sink.opened == 1 + 4**10
+    assert sink.size == len('{"words":[]}\n') + 4**10 * len("[1,1,1,1,1,1,1,1,1,1]") + (4**10 - 1)
+    assert peak < 32 * 2**20, peak / 2**20
+    words = [list(w) for w in itertools.product(range(1, 4), repeat=4)]
+    want = json.dumps({"words": words}, separators=(",", ":")) + "\n"
+    assert run(capsys, "centralizer", "", "--len", "4", "--max", "3", "--json") == (0, want, "")
 
 
 PERFBENCH_EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"

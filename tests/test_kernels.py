@@ -15,6 +15,7 @@ from plactic.tableau import iter_partitions
 
 from helpers import (
     centralizer_oracle,
+    class_words_oracle,
     commutes_oracle,
     fill_oracle,
     insert_oracle,
@@ -464,6 +465,96 @@ def test_word_listing_memory_is_linear(backend, request):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_split_walk_lists_the_letter_walk(reload_kernels):
+    """class_words over each backend's member tableaux, and over single
+    tableaux, is the list of the letter-by-letter walk it replaced, and
+    its blocks' prefixes all have the one split length."""
+    from plactic._kernels import _path_totals, _reverse_edges, _split_level
+
+    for pure_env in ("1", None):
+        kernels = reload_kernels(pure_env)
+        for u in SCAN_WORDS[:5]:
+            for n in range(0, 8):
+                for m in range(0, 5):
+                    tableaux = kernels.commuting_tableaux(u, n, m)
+                    assert kernels.class_words(tableaux, n) == class_words_oracle(tableaux, n), (u, n, m)
+                    if tableaux:
+                        h = _split_level(*_path_totals(_reverse_edges(tableaux, n), len(tableaux)))
+                        assert {len(p) for p, _ in kernels.class_blocks(tableaux, n)} == {h}
+    for w in words_over(3, 6):
+        rows = p_oracle(w)
+        assert kernels.class_words([rows], len(w)) == class_words_oracle([rows], len(w)), w
+
+
+def test_path_totals_count_prefixes_and_suffixes():
+    """prefixes[k] counts the distinct k-letter prefixes of the listed
+    words and suffixes[k] the distinct pairs (P(prefix), rest), the paths
+    through level k; the edge count is the number of distinct
+    (P(w[:k]), w[k]) steps."""
+    from plactic import _kernels
+
+    for u in SCAN_WORDS[:5]:
+        for n in range(0, 7):
+            tableaux = _pure.commuting_tableaux(u, n, 3)
+            if not tableaux:
+                continue  # class_blocks yields nothing without counting
+            words = centralizer_oracle(u, n, 3)
+            prefixes, suffixes, count = _kernels._path_totals(_kernels._reverse_edges(tableaux, n), len(tableaux))
+            assert prefixes == [len({w[:k] for w in words}) for k in range(n + 1)], (u, n)
+            assert suffixes == [len({(p_oracle(w[:k]), w[k:]) for w in words}) for k in range(n + 1)], (u, n)
+            assert count == len({(k, p_oracle(w[:k]), w[k]) for w in words for k in range(n)}), (u, n)
+
+
+def test_split_level_bounds_the_suffix_tables():
+    """A class of one word (one row, or one column) is walked to h = n,
+    and at the level picked the suffix tables never hold more entries than
+    there are edges: over the member tableaux of a grid, and over two
+    large cases whose cheapest levels are above that bound."""
+    from plactic import _kernels
+
+    def split(tableaux, n):
+        prefixes, suffixes, count = _kernels._path_totals(_kernels._reverse_edges(tableaux, n), len(tableaux))
+        h = _kernels._split_level(prefixes, suffixes, count)
+        assert (1 if n else 0) <= h <= n
+        assert h == n or suffixes[h] <= count, (n, h, suffixes, count)
+        return h
+
+    for n in range(0, 12):
+        assert split([((1,) * n,)] if n else [()], n) == n
+        assert split([tuple((a,) for a in range(1, n + 1))], n) == n
+    assert split([((1,) * 1000,)], 1000) == 1000
+    for u in SCAN_WORDS[:5]:
+        for n in range(0, 9):
+            for m in range(1, 5):
+                tableaux = _pure.commuting_tableaux(u, n, m)
+                if tableaux:
+                    split(tableaux, n)
+    # With u = () the letter count is least at h = 6 for (8, 4) and at
+    # h = 7 for (9, 5), whose tables exceed the edges.
+    assert split(_pure.commuting_tableaux((), 8, 4), 8) == 7
+    assert split(_pure.commuting_tableaux((), 9, 5), 9) == 8
+
+
+def test_split_level_from_running_sums():
+    """_split_level against the cost written out for every allowed h."""
+    from plactic._kernels import _split_level
+
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        prefixes = sorted(rng.randint(1, 50) for _ in range(n + 1))
+        suffixes = sorted((rng.randint(1, 50) for _ in range(n + 1)), reverse=True)
+        edges = rng.randint(1, 60)
+
+        def cost(h):
+            return (sum(prefixes[1 : h + 1]) + (h + 1) * prefixes[h]
+                    + sum((n - k + 1) * suffixes[k] for k in range(h, n)))
+
+        allowed = [h for h in range(1, n) if all(suffixes[k] <= edges for k in range(h, n))] + [n]
+        least = min(cost(h) for h in allowed)
+        assert _split_level(prefixes, suffixes, edges) == max(h for h in allowed if cost(h) == least)
 
 
 def test_backends_reject_negative_length(speedups):
