@@ -11,14 +11,14 @@ importable; PLACTIC_PURE=1, and no other value, forces pure Python.
 long long, so a call with a letter beyond that range raises OverflowError
 there and is retried in pure Python.
 
-``count_commuting`` and ``commuting_words`` are written once, here, on top
-of ``commuting_tableaux``, and ``same_insertion`` (P(x) == P(y), the test
+``count_commuting`` is written once, here, on top of
+``commuting_tableaux``, and ``same_insertion`` (P(x) == P(y), the test
 behind ``in_centralizer`` and ``knuth_equivalent``) on top of
-``insertion_rows`` and the pure first-row pass.  Words are listed by the
-block walk ``class_blocks``: the insertion paths into a set of tableaux,
-split at one level into prefixes and shared suffix tables, with the
-spelling of a letter chosen by the caller; ``class_words`` joins its
-blocks into a list of tuples.
+``insertion_rows`` and the pure first-row pass.  Words are listed only
+by the block walk ``class_blocks``: the insertion paths into a set of
+tableaux, split at one level into prefixes and shared suffix tables,
+with the spelling of a letter chosen by the caller.  The centralizer
+listing and the Knuth classes join its blocks.
 """
 
 from __future__ import annotations
@@ -85,19 +85,6 @@ def count_commuting(u, n, m):
     """
     shapes = Counter(tuple(map(len, rows)) for rows in commuting_tableaux(u, n, m))
     return sum(count * f_lambda(shape) for shape, count in shapes.items())
-
-
-def commuting_words(u, n, m):
-    """The words w in [m]^n with P(uw) == P(wu), in lexicographic order:
-    the words of the Knuth classes of commuting_tableaux(u, n, m)."""
-    return class_words(commuting_tableaux(u, n, m), n)
-
-
-def class_words(tableaux, n):
-    """The words w with P(w) in ``tableaux`` (distinct tableaux of n cells,
-    as tuples of row tuples), in lexicographic order: the words of
-    ``class_blocks``, each a prefix joined to a suffix."""
-    return [p + s for p, suffixes in class_blocks(tableaux, n) for s in suffixes]
 
 
 def _reverse_edges(tableaux, n):

@@ -131,6 +131,13 @@ def positive_int(value, name: str) -> int:
     return value
 
 
+def natural_int(value, name: str) -> int:
+    """``value``, which must be an int >= 0 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise BadParameterError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def resolve_budget(budget) -> int:
     """default_budget() for None, else ``budget``, a positive int."""
     return default_budget() if budget is None else positive_int(budget, "budget")
@@ -146,24 +153,20 @@ def require_budget(total: int, budget, what: str) -> int:
 
 
 def _scan_of(u: Iterable[int], n: int, m: int, budget) -> Word:
-    """word(u), once the m^n words of [m]^n fit the budget; a negative
-    length or alphabet is a BadParameterError."""
+    """word(u), once the m^n words of [m]^n fit the budget; a length or
+    alphabet that is not an int >= 0 is a BadParameterError."""
     u = word(u)
-    if n < 0 or m < 0:
-        raise BadParameterError(f"need word length and alphabet >= 0, got n = {n}, m = {m}")
-    require_budget(m**n, budget, f"words in [{m}]^{n}")
+    require_budget(natural_int(m, "alphabet m") ** natural_int(n, "word length n"), budget,
+                   f"words in [{m}]^{n}")
     return u
 
 
 def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
-    """All w in [m]^n with P(uw) == P(wu), in lexicographic order.
-
-    The list holds every word.  ``plactic centralizer`` streams the same
-    words block by block instead, and never holds them.  Raises
-    BudgetExceeded when m^n is over the word budget.
-    """
-    u = _scan_of(u, n, m, budget)
-    return _kernels.commuting_words(u, n, m)
+    """All w in [m]^n with P(uw) == P(wu), in lexicographic order: the
+    joined blocks of ``_centralizer_blocks``, which ``plactic centralizer``
+    streams instead.  Raises BudgetExceeded when m^n is over the word
+    budget."""
+    return [p + s for p, suffixes in _centralizer_blocks(u, n, m, budget) for s in suffixes]
 
 
 def _centralizer_blocks(u: Iterable[int], n: int, m: int, budget=None, **spelling):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .centralizer import c12_columns, require_budget, resolve_budget
+from .centralizer import c12_columns, natural_int, require_budget, resolve_budget
 from .errors import (
     BadParameterError,
     BadShapeError,
@@ -208,10 +208,8 @@ def count_by_shapes(family: Family, n: int, m: int) -> int:
     a shifted semistandard count.  Multiplying by f(shape) counts words.
     The terms are listed at cap min(r, m) and evaluated at m.
     """
-    if n < 0:
-        raise BadParameterError("n must be >= 0")
-    if m < 0:
-        raise BadParameterError("m must be >= 0")
+    natural_int(n, "n")
+    natural_int(m, "m")
     r = family.constrained_rows
     if family.kind == "single" and family.param > m:
         # no word over [m] contains the letter, so only the empty word commutes
@@ -278,7 +276,7 @@ def expand_binomial(u: Iterable[int], n: int, budget=None) -> BinomialPoly:
     u = word(u)
     family = family_of_word(u)
     r = family.constrained_rows
-    if n < r:
+    if natural_int(n, "n") < r:
         raise BadParameterError(f"need n >= {r} for u = {u}, got n = {n}")
     d = n - r
     limit = resolve_budget(budget)

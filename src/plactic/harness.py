@@ -9,24 +9,27 @@ max(u) >= w_alphabet or u = a^k (see check_max_ri), and an rc pair with
 m >= w_alphabet in the sweep (see _rc_members).  The rc check is one
 such pass over the two sides of every (u, m) pair; it compares the
 tau_m images of one side's fill with the other side's fill, and so
-runs no in_centralizer test.  Only a tableau that fails is
-expanded into the words of its Knuth class.  Each
-check returns a SweepReport.  Reports serialize to a canonical JSON form
-that is byte-stable across reruns; wall-clock time is kept on the report
-object and pinned to 0 in the JSON.
+runs no in_centralizer test.  Each side's failures are settled once per
+(side, m, length), into one table that every later reader of that side
+takes them from.  Only a tableau that fails is expanded into the words
+of its Knuth class.  Each check returns a SweepReport.  Reports
+serialize to a canonical JSON form that is byte-stable across reruns;
+wall-clock time is kept on the report object and pinned to 0 in the
+JSON.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from . import _kernels
 from .centralizer import (
     centralizer_tableaux,
+    natural_int,
     positive_int,
     require_budget,
     resolve_budget,
@@ -68,15 +71,8 @@ class SweepConfig:
         return resolve_budget(self.budget)
 
     def echo(self, **extra) -> dict:
-        out = {
-            "u_alphabet": self.u_alphabet,
-            "u_length": self.u_length,
-            "u_sum_bound": self.u_sum_bound,
-            "w_alphabet": self.w_alphabet,
-            "w_length": self.w_length,
-            "k_bound": self.k_bound,
-            "budget": self.resolved_budget(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["budget"] = self.resolved_budget()
         out.update(extra)
         return out
 
@@ -304,7 +300,7 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
     (a) a_0=0 and a_1=1, (b) positivity, (c) log-concavity, (d) the peak
     sits at ceil(n/2)."""
     t0 = time.monotonic()
-    if n_max < 2:
+    if natural_int(n_max, "n_max") < 2:
         raise BadParameterError(f"n_max must be >= 2, got {n_max}")
     total = n_max - 1
     resolved = require_budget(total, budget, "expansions")
@@ -337,34 +333,28 @@ def _rc_members(pairs: list, cfg: SweepConfig, fill_settled: bool) -> tuple:
 
     Every other pair has m < w_alphabet, so tau_m maps a tableau with n
     cells over [w_alphabet] to another one, and the image of a member of
-    C(u) is in P(C(v)) exactly when it is in v's fill B of length n.  So
-    the block of side u reads u's fill A and B, and settles both sides by
-    comparing sets: side u fails on the a in A with tau_m(a) not in B, and
-    side v, whose other side is rc_m(v, m) = u, on B minus tau_m(A), since
-    tau_m is an involution.  tau_m of a failing b in B is taken only for
-    its detail.  Side v's failures are kept for its own blocks, which read
-    no fill.  So are those of a later twin pair (v, m), when it is in
-    range: it compares the same two fills, mirrored, so its sides v and u
-    fail on exactly v's and u's failures here, with the same details.
+    C(u) is in P(C(v)) exactly when it is in v's fill B of length n.  A
+    side's failures depend on its word, m and n alone (its other side is
+    rc_m(side, m)), so they go in one table keyed (side, m, n).  The
+    first side u of each {u, v} reads u's fill A and B and settles both
+    entries by comparing sets: u fails on the a in A with tau_m(a) not in
+    B, and v on B minus tau_m(A), since tau_m is an involution; tau_m of
+    a failing b is taken only for its detail.  Every later side of {u, v},
+    in any pair, reads no fill and takes its entry from the table.
     Returns _sweep_members's triple and tableaux."""
     sides = [side for u, m in pairs for side in (u, rc_m(u, m))]
     tableaux = [0] * len(sides)
-    index = {pair: p for p, pair in enumerate(pairs)}
-    twins = {}  # p -> q when pairs[q] is (v, m) for pairs[p] = (u, m), q > p
-    for p, (u, m) in enumerate(pairs):
-        q = index.get((sides[2 * p + 1], m), p)
-        if m < cfg.w_alphabet and q > p:
-            twins[p] = q
-    mirrored = set(twins.values())
+    known = set()
     reads = []
     for p, (u, m) in enumerate(pairs):
         if m >= cfg.w_alphabet:
             reads += [(2 * p,), (2 * p + 1,)] if fill_settled else [(), ()]
-        elif p in mirrored:
+        elif (u, m) in known:
             reads += [(), ()]
         else:
+            known.update(((u, m), (sides[2 * p + 1], m)))
             reads += [(2 * p, 2 * p + 1), ()]
-    settled: dict = {}
+    failures: dict = {}
 
     def judge(i, n, fills):
         for j, fill in zip(reads[i], fills):
@@ -372,21 +362,17 @@ def _rc_members(pairs: list, cfg: SweepConfig, fill_settled: bool) -> tuple:
         m = pairs[i // 2][1]
         if m >= cfg.w_alphabet:
             return []
-        if not reads[i]:
-            return settled.pop((i, n))
-        a_fill, b_fill = fills
-        images = [tau_m(a, m) for a in a_fill]
-        b_rows = {b.rows for b in b_fill}
-        image_rows = {image.rows for image in images}
-        a_failed = [(a, _rc_detail(image, m, sides[i + 1])) for a, image in zip(a_fill, images)
-                    if image.rows not in b_rows]
-        b_failed = [(b, _rc_detail(tau_m(b, m), m, sides[i])) for b in b_fill
-                    if b.rows not in image_rows]
-        settled[i + 1, n] = b_failed
-        if i // 2 in twins:
-            q = twins[i // 2]
-            settled[2 * q, n], settled[2 * q + 1, n] = b_failed, a_failed
-        return a_failed
+        if reads[i]:
+            u, v = sides[i], sides[i + 1]
+            a_fill, b_fill = fills
+            images = [tau_m(a, m) for a in a_fill]
+            b_rows = {b.rows for b in b_fill}
+            image_rows = {image.rows for image in images}
+            failures[u, m, n] = [(a, _rc_detail(image, m, v)) for a, image in zip(a_fill, images)
+                                 if image.rows not in b_rows]
+            failures[v, m, n] = [(b, _rc_detail(tau_m(b, m), m, u)) for b in b_fill
+                                 if b.rows not in image_rows]
+        return failures[sides[i], m, n]
 
     return _sweep_members(sides, cfg, judge, reads), tableaux
 

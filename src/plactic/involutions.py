@@ -5,7 +5,8 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from . import _kernels
-from .errors import BadParameterError, MaxEntryExceedsMError, WordParseError
+from .centralizer import natural_int
+from .errors import MaxEntryExceedsMError, WordParseError
 from .rsk import p_tableau
 from .tableau import SkewTableau, Tableau, Word, word
 
@@ -37,16 +38,11 @@ def bender_knuth(t: Tableau, u: int) -> Tableau:
     return Tableau(tuple(tuple(r) for r in rows))
 
 
-def _require_m(m: int) -> None:
-    if m < 0:
-        raise BadParameterError(f"m must be >= 0, got {m}")
-
-
 def rc_m(w: Word | list, m: int) -> Word:
     """Reverse and complement (v -> m - v + 1) the subword of letters <= m,
     leaving larger letters in place."""
     w = word(w)
-    _require_m(m)
+    natural_int(m, "m")
     small = [v for v in w if v <= m]
     replaced = iter(m - v + 1 for v in reversed(small))
     return tuple(next(replaced) if v <= m else v for v in w)
@@ -54,7 +50,7 @@ def rc_m(w: Word | list, m: int) -> Word:
 
 def evacuation_m(t: Tableau, m: int) -> Tableau:
     """The m-evacuation of a tableau with entries <= m."""
-    _require_m(m)
+    natural_int(m, "m")
     if t.max_entry() > m:
         raise MaxEntryExceedsMError(
             f"entry {t.max_entry()} exceeds m = {m}"
@@ -65,7 +61,7 @@ def evacuation_m(t: Tableau, m: int) -> Tableau:
 def _cut(t: Tableau, m: int) -> list:
     """The number of entries <= m in each row of t.  Since the columns of
     t strictly increase, this is a partition padded with zeros."""
-    _require_m(m)
+    natural_int(m, "m")
     return [bisect_right(row, m) for row in t.rows]
 
 

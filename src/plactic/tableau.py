@@ -79,18 +79,42 @@ def is_partition(parts: Iterable[int]) -> bool:
     )
 
 
+def _conjugate(shape: tuple) -> tuple:
+    """The column lengths of a partition shape, in O(rows + columns)."""
+    cols = []
+    for i in range(len(shape) - 1, -1, -1):
+        cols += [i + 1] * (shape[i] - len(cols))
+    return tuple(cols)
+
+
 def hook_product(shape: tuple) -> int:
     """Product of the hook lengths of a partition shape."""
     if not is_partition(shape):
         raise BadShapeError(f"{shape} is not a partition")
-    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
+    conj = _conjugate(shape)
     return math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
 
 
 def f_lambda(shape: Iterable[int]) -> int:
-    """Number of standard tableaux of the given shape (hook lengths)."""
+    """Number of standard tableaux of the given shape: n! over the hook
+    product, at a cost that follows the answer.  The first row's hooks
+    past the second row are d, ..., 1 for its overhang d, so n!/d! =
+    perm(n, n - d) is divided by the other n - d hooks alone.  The
+    conjugate, with the same count, is used when its overhang is longer:
+    one row or column multiplies nothing, a hook (a, 1^b) b + 1 hooks."""
     shape = tuple(shape)
-    q, r = divmod(math.factorial(sum(shape)), hook_product(shape))
+    if not is_partition(shape):
+        raise BadShapeError(f"{shape} is not a partition")
+    if not shape:
+        return 1
+    if shape.count(1) > shape[0] - (shape[1] if len(shape) > 1 else 0):
+        shape = _conjugate(shape)
+    second = shape[1] if len(shape) > 1 else 0
+    below = _conjugate(shape[1:])  # hook(i, j) = shape[i] - j + below[j] - i
+    hooks = math.prod(row - j + below[j] - i for i, row in enumerate(shape)
+                      for j in range(second if i == 0 else row))
+    n = sum(shape)
+    q, r = divmod(math.perm(n, n - shape[0] + second), hooks)
     assert r == 0
     return q
 

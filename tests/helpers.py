@@ -9,7 +9,8 @@ can make members fail.  Three build on the library:
 ``rectify_lowest_corner_first`` runs its single jeu de taquin slide in a
 corner order of its own, and ``split_at_oracle`` and ``tau_m_oracle``
 split a tableau by filtering its rows and glue the evacuated part back
-row by row on its Tableau, SkewTableau and evacuation_m.
+row by row on its Tableau, SkewTableau and evacuation_m.  ``class_words``
+is no oracle: it joins the library's listing blocks into one list.
 """
 
 from __future__ import annotations
@@ -234,6 +235,14 @@ def class_words_oracle(tableaux, n):
             if word:
                 word.pop()
     return found
+
+
+def class_words(tableaux, n):
+    """The words of ``plactic._kernels.class_blocks(tableaux, n)`` as one
+    list, each prefix joined to its suffixes."""
+    from plactic import _kernels
+
+    return [p + s for p, suffixes in _kernels.class_blocks(tableaux, n) for s in suffixes]
 
 
 def words_over(alphabet, max_len, min_len=0):

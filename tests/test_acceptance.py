@@ -294,7 +294,7 @@ def test_criterion_10_backend_determinism(capsys, reload_kernels):
             lambda: check_max_ri(SweepConfig(
                 u_alphabet=3, u_length=3, u_sum_bound=5, w_alphabet=3, w_length=4)),
             lambda: check_stability((1, 2), SweepConfig(w_alphabet=3, w_length=4)),
-            # a non-containment, whose witness comes from class_words
+            # a non-containment, whose witness comes from class_blocks
             lambda: check_stability((1, 2, 3, 4, 5), SweepConfig(
                 w_alphabet=5, w_length=5, k_bound=3)),
             lambda: check_rc((1,), 2, SweepConfig(w_alphabet=3, w_length=4)),

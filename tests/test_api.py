@@ -96,6 +96,29 @@ def test_bad_letters_and_shapes_raise_typed_errors():
         assert isinstance(info.value, ValueError)
 
 
+# a length or alphabet that is not an int, or is a bool, at each entry point
+NON_INT_LENGTHS = {
+    "count_n_float": lambda: plactic.count_centralizer_words((1,), 2.5, 3),
+    "count_m_float": lambda: plactic.count_centralizer_words((1,), 2, 3.0),
+    "count_n_str": lambda: plactic.count_centralizer_words((1,), "2", 3),
+    "count_n_bool": lambda: plactic.count_centralizer_words((1,), True, 3),
+    "words_m_float": lambda: plactic.centralizer_words((1,), 2, 3.0),
+    "tableaux_m_bool": lambda: plactic.centralizer_tableaux((1,), 2, False),
+    "expand_n_float": lambda: plactic.expand_binomial((1,), 3.0),
+    "coeffs_n_max_float": lambda: plactic.check_coefficients(3.0),
+    "shapes_m_float": lambda: plactic.count_by_shapes(plactic.single(1), 3, 2.0),
+    "shapes_n_float": lambda: plactic.count_by_shapes(plactic.single(1), 3.0, 2),
+    "rc_m_float": lambda: plactic.rc_m((1, 2), 1.5),
+    "tau_m_float": lambda: plactic.tau_m(plactic.Tableau(((1,),)), 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_LENGTHS.values(), ids=NON_INT_LENGTHS)
+def test_non_int_lengths_and_alphabets_raise_bad_parameter(call):
+    with pytest.raises(plactic.BadParameterError):
+        call()
+
+
 def _unused_imports(path):
     """Names a module imports and never reads, by its syntax tree."""
     tree = ast.parse(path.read_text())

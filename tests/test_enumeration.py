@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -60,9 +61,25 @@ def test_f_lambda_examples():
 
 
 def test_f_lambda_matches_exhaustive_generation():
-    for n in range(0, 7):
+    for n in range(0, 13):
         for lam in iter_partitions(n):
             assert f_lambda(lam) == syt_count_oracle(lam), lam
+
+
+def test_f_lambda_cost_follows_the_answer():
+    """A long row or column, and a thin hook, are counted without building
+    n! or a product of n hooks (a product of 20000 hooks alone takes
+    about 32 KB), so counting the one word of [1]^200000 is the fill."""
+    cases = [((20000,), 1), ((1,) * 20000, 1), ((20000, 1), 20000), ((2,) + (1,) * 19999, 20000)]
+    tracemalloc.start()
+    try:
+        counts = [f_lambda(shape) for shape, _ in cases]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [count for _, count in cases]
+    assert peak < 2**12
+    assert count_centralizer((1,), 200000, 1) == 1
 
 
 def test_ssyt_count_edges():

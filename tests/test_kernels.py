@@ -8,13 +8,15 @@ from collections import Counter
 import pytest
 
 from plactic._kernels import _pure
-from plactic.centralizer import in_centralizer
+from plactic.centralizer import centralizer_words, in_centralizer
 from plactic.enumeration import iter_ssyt
+from plactic.errors import BadParameterError
 from plactic.knuth import knuth_equivalent
 from plactic.tableau import iter_partitions
 
 from helpers import (
     centralizer_oracle,
+    class_words,
     class_words_oracle,
     commutes_oracle,
     fill_oracle,
@@ -74,7 +76,7 @@ def test_pop_undoes_push():
 def test_count_and_words_agree(pure_kernels):
     for n in range(0, 5):
         for m in (1, 2, 3):
-            ws = pure_kernels.commuting_words((1, 2), n, m)
+            ws = centralizer_words((1, 2), n, m)
             assert pure_kernels.count_commuting((1, 2), n, m) == len(ws)
             assert ws == sorted(ws)
 
@@ -83,11 +85,11 @@ def test_edge_ranges(pure_kernels):
     # n = 0: the empty word always commutes
     assert pure_kernels.count_commuting((3, 1), 0, 5) == 1
     assert _pure.commuting_tableaux((3, 1), 0, 5) == [()]
-    assert pure_kernels.commuting_words((3, 1), 0, 5) == [()]
+    assert centralizer_words((3, 1), 0, 5) == [()]
     # m = 0 with n > 0: no words at all
     assert pure_kernels.count_commuting((1,), 3, 0) == 0
     assert _pure.commuting_tableaux((1,), 3, 0) == []
-    assert pure_kernels.commuting_words((1,), 3, 0) == []
+    assert centralizer_words((1,), 3, 0) == []
 
 
 def _fill_matches_oracle(commuting_tableaux, u, n, m):
@@ -108,13 +110,18 @@ def _fill_matches_oracle(commuting_tableaux, u, n, m):
 def test_pure_scan_windows_match_oracle(pure_kernels):
     """The pure scan over all of [m]^n, for n <= 4 and -1 <= m <= 3, in all
     three modes (words, member tableaux, count), against the definition
-    applied to every word.  The word listing and the count are written
-    once, over the fill, so this is their independent check too."""
+    applied to every word; centralizer_words refuses m = -1.  The word
+    listing and the count are written once, over the fill, so this is
+    their independent check too."""
     for u in SCAN_WORDS:
         for n in range(0, 5):
             for m in range(-1, 4):
                 want = centralizer_oracle(u, n, m)
-                assert pure_kernels.commuting_words(u, n, m) == want, (u, n, m)
+                if m < 0:
+                    with pytest.raises(BadParameterError):
+                        centralizer_words(u, n, m)
+                else:
+                    assert centralizer_words(u, n, m) == want, (u, n, m)
                 _fill_matches_oracle(_pure.commuting_tableaux, u, n, m)
                 assert pure_kernels.count_commuting(u, n, m) == len(want), (u, n, m)
 
@@ -314,12 +321,13 @@ def test_backends_expose_the_two_entry_points(speedups):
     for module in (_kernels, _pure, speedups):
         for name in ENTRY_POINTS:
             assert callable(getattr(module, name)), (module, name)
-        # membership is same_insertion, written once in _kernels
-        for name in ("commutes", "insert_rows"):
+        # membership is same_insertion, written once in _kernels, and
+        # words are listed only through class_blocks
+        for name in ("commutes", "insert_rows", "commuting_words", "class_words"):
             assert not hasattr(module, name), (module, name)
-    # counting and listing the words are written once, over the tableau
-    # fill, and P(x) == P(y) once, over insertion_rows
-    for name in ("count_commuting", "commuting_words", "same_insertion"):
+    # counting the words is written once, over the tableau fill, and
+    # P(x) == P(y) once, over insertion_rows
+    for name in ("count_commuting", "same_insertion", "class_blocks"):
         assert callable(getattr(_kernels, name))
         assert not hasattr(_pure, name)
         assert not hasattr(speedups, name)
@@ -428,13 +436,12 @@ def test_backends_agree_on_tableaux(speedups):
 
 
 def test_backends_agree_on_word_lists(reload_kernels):
-    cases = [(u, n, m) for u in SCAN_WORDS for n in range(0, 7) for m in range(-1, 5)]
+    cases = [(u, n, m) for u in SCAN_WORDS for n in range(0, 7) for m in range(0, 5)]
     cases.append((_long_words()[1], 2, 3))
-    pure = reload_kernels("1")
-    want = [pure.commuting_words(*case) for case in cases]
-    compiled = reload_kernels(None)
-    assert compiled.BACKEND == "c"
-    assert [compiled.commuting_words(*case) for case in cases] == want
+    assert reload_kernels("1").BACKEND == "pure"
+    want = [centralizer_words(*case) for case in cases]
+    assert reload_kernels(None).BACKEND == "c"
+    assert [centralizer_words(*case) for case in cases] == want
 
 
 def test_word_lists_match_their_tableaux(compiled_kernels):
@@ -444,7 +451,7 @@ def test_word_lists_match_their_tableaux(compiled_kernels):
     for u in SCAN_WORDS:
         for n in range(5, 9):
             for m in range(1, 5):
-                words = compiled_kernels.commuting_words(u, n, m)
+                words = centralizer_words(u, n, m)
                 assert all(v < w for v, w in zip(words, words[1:])), (u, n, m)
                 assert len(words) == compiled_kernels.count_commuting(u, n, m), (u, n, m)
                 tableaux = set(compiled_kernels.commuting_tableaux(u, n, m))
@@ -460,7 +467,7 @@ def test_word_listing_memory_is_linear(backend, request):
     kernels = request.getfixturevalue(backend)
     tracemalloc.start()
     try:
-        assert kernels.commuting_words((1,), 1000, 1) == [(1,) * 1000]
+        assert centralizer_words((1,), 1000, 1) == [(1,) * 1000]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,7 +475,7 @@ def test_word_listing_memory_is_linear(backend, request):
 
 
 def test_split_walk_lists_the_letter_walk(reload_kernels):
-    """class_words over each backend's member tableaux, and over single
+    """The joined blocks over each backend's member tableaux, and over single
     tableaux, is the list of the letter-by-letter walk it replaced, and
     its blocks' prefixes all have the one split length."""
     from plactic._kernels import _path_totals, _reverse_edges, _split_level
@@ -479,13 +486,13 @@ def test_split_walk_lists_the_letter_walk(reload_kernels):
             for n in range(0, 8):
                 for m in range(0, 5):
                     tableaux = kernels.commuting_tableaux(u, n, m)
-                    assert kernels.class_words(tableaux, n) == class_words_oracle(tableaux, n), (u, n, m)
+                    assert class_words(tableaux, n) == class_words_oracle(tableaux, n), (u, n, m)
                     if tableaux:
                         h = _split_level(*_path_totals(_reverse_edges(tableaux, n), len(tableaux)))
                         assert {len(p) for p, _ in kernels.class_blocks(tableaux, n)} == {h}
     for w in words_over(3, 6):
         rows = p_oracle(w)
-        assert kernels.class_words([rows], len(w)) == class_words_oracle([rows], len(w)), w
+        assert class_words([rows], len(w)) == class_words_oracle([rows], len(w)), w
 
 
 def test_path_totals_count_prefixes_and_suffixes():
@@ -560,7 +567,7 @@ def test_split_level_from_running_sums():
 def test_backends_reject_negative_length(speedups):
     from plactic import _kernels
 
-    scans = [_kernels.count_commuting, _kernels.commuting_words]
+    scans = [_kernels.count_commuting]
     for backend in (_pure, speedups):
         scans.append(backend.commuting_tableaux)
     for scan in scans:
@@ -574,13 +581,12 @@ def test_scans_take_u_n_m_only(speedups):
     from plactic import _kernels
 
     assert _kernels.count_commuting(u=(1,), n=3, m=2) == 3
-    assert _kernels.commuting_words(u=(1,), n=2, m=2) == [(1, 1), (2, 1)]
     for backend in (_kernels, _pure, speedups):
         assert backend.commuting_tableaux(u=(1,), n=2, m=2) == [((1, 1),), ((1,), (2,))]
     for backend in (_kernels, _pure, speedups):
         scans = [backend.commuting_tableaux]
         if backend is _kernels:
-            scans += [backend.count_commuting, backend.commuting_words]
+            scans += [backend.count_commuting]
         for scan in scans:
             with pytest.raises(TypeError):
                 scan((1,), 2, 2, start=0)
@@ -628,7 +634,7 @@ def test_huge_letters_fall_back_to_pure(compiled_kernels):
     assert _kernels.count_commuting((HUGE,), 3, 2) == len(centralizer_oracle((HUGE,), 3, 2))
     members = centralizer_oracle((HUGE, 1), 3, 2)
     assert set(_kernels.commuting_tableaux((HUGE, 1), 3, 2)) == {p_oracle(w) for w in members}
-    assert _kernels.commuting_words((HUGE, 1), 2, 2) == centralizer_oracle((HUGE, 1), 2, 2)
+    assert centralizer_words((HUGE, 1), 2, 2) == centralizer_oracle((HUGE, 1), 2, 2)
 
 
 def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkeypatch):
@@ -675,7 +681,7 @@ def test_compiled_overflow_falls_back_to_pure(compiled_kernels, speedups, monkey
     assert calls == ["insertion_rows"] * 4
     # the word listing retries through the fill's wrapper
     calls.clear()
-    assert _kernels.commuting_words((HUGE, 1), 2, 2) == [(1, 1)]
+    assert centralizer_words((HUGE, 1), 2, 2) == [(1, 1)]
     assert calls[0] == "commuting_tableaux"
     assert count_centralizer_words((HUGE,), 2, 2) == len(centralizer_oracle((HUGE,), 2, 2))
 

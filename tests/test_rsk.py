@@ -19,12 +19,11 @@ from plactic import (
     rsk_pair,
 )
 from plactic import _kernels
-from plactic._kernels import class_words
 from plactic.rsk import _first_row
 from plactic.enumeration import iter_ssyt
 from plactic.tableau import iter_partitions
 
-from helpers import lwi_oracle, p_oracle, syt_count_oracle, words_over
+from helpers import class_words, lwi_oracle, p_oracle, syt_count_oracle, words_over
 
 words = st.lists(st.integers(min_value=1, max_value=5), max_size=9).map(tuple)
 BIG = 2**40
