@@ -195,15 +195,15 @@ def _tuple_letter(a):
     return (a,)
 
 
-def class_blocks(tableaux, n, letter=_tuple_letter, end=(), head=tuple):
+def class_blocks(tableaux, n, letter=_tuple_letter, end=()):
     """The words w with P(w) in ``tableaux`` (distinct tableaux of n cells,
     as tuples of row tuples) as blocks (prefix, suffixes), in
     lexicographic order: the words are ``prefix + s`` for s in suffixes,
-    block after block, with no sort.  A prefix of h letters, given as a
-    list of them, is spelled ``head(prefix)``, and a suffix as
-    ``letter(a)`` per letter followed by ``end``; the defaults spell tuples
-    of ints.  The suffix lists are shared between blocks and must not be
-    changed.
+    block after block, with no sort.  A prefix is a tuple of h letters,
+    and a suffix is spelled ``letter(a)`` per letter followed by ``end``;
+    the defaults spell tuples of ints, and a caller that spells text
+    spells the prefixes itself.  The suffix lists are shared between
+    blocks and must not be changed.
 
     The words of length n are the letter sequences of the insertion paths
     () -> P(w[:1]) -> ... -> P(w), built back by ``_reverse_edges``.  This
@@ -234,7 +234,7 @@ def class_blocks(tableaux, n, letter=_tuple_letter, end=(), head=tuple):
         tables = level
         edges[k] = None
     if h == 0:
-        yield head([]), tables[0]
+        yield (), tables[0]
         return
     prefix = []
     stack = [iter(edges[0][0])]
@@ -242,7 +242,7 @@ def class_blocks(tableaux, n, letter=_tuple_letter, end=(), head=tuple):
         for a, i in stack[-1]:
             prefix.append(a)
             if len(prefix) == h:
-                yield head(prefix), tables[i]
+                yield tuple(prefix), tables[i]
                 prefix.pop()
             else:
                 stack.append(iter(edges[len(prefix)][i]))

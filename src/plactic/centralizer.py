@@ -152,12 +152,40 @@ def require_budget(total: int, budget, what: str) -> int:
     return limit
 
 
+# A power of at most this many bits is cheap to build, and more than the
+# 14,284 bits (4,300 digits) that Python prints by default.
+_BUILT_BITS = 1 << 16
+
+
+def refuse_huge_power(scale: int, m: int, n: int, budget, what: str) -> int:
+    """The budget, resolved by resolve_budget, once a total of ``what``
+    of at least scale * m ** n (ints >= 0) is not over it by n alone.
+
+    For scale >= 1 and m >= 2, m ** n >= 2 ** n, so an n at or above the
+    budget's bit length is over it.  When m ** n may then have more than
+    _BUILT_BITS bits, nothing is built: BudgetExceeded shows the total as
+    at least 2^k, k = (bits(scale) - 1) + n * (bits(m) - 1), which for
+    scale = 1 and m = 2 is the power require_budget would show.  Any
+    other total is small enough for the caller to build exactly."""
+    limit = resolve_budget(budget)
+    if scale and m >= 2 and n >= limit.bit_length() and n * m.bit_length() > _BUILT_BITS:
+        k = scale.bit_length() - 1 + n * (m.bit_length() - 1)
+        raise BudgetExceededError(f"{what}: at least 2^{k}, over the budget {_shown(limit)}")
+    return limit
+
+
 def _scan_of(u: Iterable[int], n: int, m: int, budget) -> Word:
     """word(u), once the m^n words of [m]^n fit the budget; a length or
-    alphabet that is not an int >= 0 is a BadParameterError."""
+    alphabet that is not an int >= 0 is a BadParameterError.  A fill holds
+    n cells, so for m = 1 the one word's n letters are charged instead."""
     u = word(u)
-    require_budget(natural_int(m, "alphabet m") ** natural_int(n, "word length n"), budget,
-                   f"words in [{m}]^{n}")
+    m, n = natural_int(m, "alphabet m"), natural_int(n, "word length n")
+    what = f"words in [{m}]^{n}"
+    limit = refuse_huge_power(1, m, n, budget, what)
+    if m == 1:
+        require_budget(n, limit, f"letters in [1]^{n}")
+    else:
+        require_budget(m**n, limit, what)
     return u
 
 
@@ -171,8 +199,8 @@ def centralizer_words(u: Iterable[int], n: int, m: int, budget=None) -> list:
 
 def _centralizer_blocks(u: Iterable[int], n: int, m: int, budget=None, **spelling):
     """The words of centralizer_words(u, n, m) as the blocks (prefix,
-    suffixes) of ``_kernels.class_blocks``, spelled as ``spelling`` says
-    (tuples of ints by default).
+    suffixes) of ``_kernels.class_blocks``: prefixes are tuples of ints,
+    and suffixes are spelled as ``spelling`` says (tuples by default).
 
     The budget is checked here, before the first block: raises
     BudgetExceeded when m^n is over the word budget.

@@ -102,24 +102,22 @@ def _print_words(u, n: int, m: int, as_json: bool):
     """Print the centralizer words of [m]^n block by block, so the word
     list is never held: with --json the bytes of
     _dump({"words": centralizer_words(u, n, m)}) and a newline, else one
-    format_word line per word.  The budget is checked before anything is
-    written."""
-    out = sys.stdout
-    if not as_json:
-        for prefix, suffixes in _centralizer_blocks(u, n, m):
-            out.write("".join([format_word(prefix + s) + "\n" for s in suffixes]))
-        return
-    # A prefix is spelled "[a,b" and a suffix ",c,d]", so the words of a
-    # block, joined by commas, are one join of its suffixes.
+    format_word line per word.  Both modes write the blocks of one walk:
+    a suffix is spelled ",c,d" then "]" or a newline and a prefix "[a,b"
+    or "a,b", so a block is one join.  The budget is checked first."""
     digits = _Digits()
-    blocks = _centralizer_blocks(u, n, m, letter=lambda a: "," + digits[a], end="]",
-                                head=lambda prefix: "[" + ",".join(map(digits.__getitem__, prefix)))
-    out.write('{"words":[')
-    sep = ""
+    sep, end, bracket = (",", "]", "[") if as_json else ("", "\n", "")
+    blocks = _centralizer_blocks(u, n, m, letter=lambda a: "," + digits[a], end=end)
+    out = sys.stdout
+    out.write('{"words":[' if as_json else "")
+    lead = ""
     for prefix, suffixes in blocks:
-        out.write(sep + prefix + ("," + prefix).join(suffixes))
-        sep = ","
-    out.write("]}\n")
+        head = bracket + ",".join(map(digits.__getitem__, prefix))
+        if n == 1 and prefix[0] > 9 and not as_json:
+            head += ","  # format_word's one-letter form: "12" is the word 1, 2
+        out.write(lead + head + (sep + head).join(suffixes))
+        lead = sep
+    out.write("]}\n" if as_json else "")
 
 
 def _print_report(report: SweepReport, as_json: bool):

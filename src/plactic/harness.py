@@ -31,6 +31,7 @@ from .centralizer import (
     centralizer_tableaux,
     natural_int,
     positive_int,
+    refuse_huge_power,
     require_budget,
     resolve_budget,
 )
@@ -111,14 +112,12 @@ def words_up_to(alphabet: int, max_len: int, min_len: int = 0) -> Iterator[Word]
             yield letters
 
 
-def count_words_up_to(alphabet: int, max_len: int, min_len: int = 0) -> int:
-    """The number of words words_up_to lists, as a closed geometric sum."""
-    lengths = max_len + 1 - min_len
-    if lengths <= 0:
-        return 0
+def count_words_up_to(alphabet: int, max_len: int) -> int:
+    """The number of words words_up_to(alphabet, max_len) lists, as a
+    closed geometric sum."""
     if alphabet == 1:
-        return lengths
-    return alphabet**min_len * (alphabet**lengths - 1) // (alphabet - 1)
+        return max_len + 1
+    return (alphabet ** (max_len + 1) - 1) // (alphabet - 1)
 
 
 def _u_range(cfg: SweepConfig) -> list:
@@ -133,7 +132,8 @@ def _u_range(cfg: SweepConfig) -> list:
 def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> tuple:
     """Call judge(i, n, fills) once on every block (us[i], n), n = 0 to
     w_length, after one budget check on the len(us) * (words in the w
-    range) pairs of the whole sweep.
+    range) pairs of the whole sweep, which refuse_huge_power settles
+    without building that count when the w range is huge.
 
     fills holds, for each j in reads[i], the insertion tableaux of the
     members of C(us[j]) with n cells.  They come from one kernel fill per
@@ -149,8 +149,10 @@ def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> 
     caught: it ends the sweep inside the block it hits, which is not
     counted.
     """
-    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length)
-    budget = require_budget(len(us) * n_w, cfg.budget, "(u, w) pairs in the sweep")
+    what = "(u, w) pairs in the sweep"
+    limit = refuse_huge_power(len(us), cfg.w_alphabet, cfg.w_length, cfg.budget, what)
+    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length) if us else 0
+    budget = require_budget(len(us) * n_w, limit, what)
     keys = [tuple(_kernels.insertion_rows(us[j]) for j in js) for js in reads]
     last = {key: i for i, block_keys in enumerate(keys) for key in block_keys}
     fills: dict = {}
@@ -272,8 +274,8 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
                 non_containments.append({"k": k, "w": list(witness)})
             if sets[k] != sets[k + 1]:
                 bad_equality = k
-        observed["K"] = bad_containment + 1 if bad_containment else 1
-        observed["L"] = bad_equality + 1 if bad_equality else 1
+        observed["K"] = bad_containment + 1
+        observed["L"] = bad_equality + 1
         observed["non_containments"] = non_containments
     return _report("stability", cfg.echo(u=list(u)), t0, checked, (), complete, observed)
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import doctest
 import inspect
 import pathlib
 
@@ -203,3 +204,27 @@ def test_every_sweep_setting_is_read():
         if isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name) and attr.value.id == owner
     }
     assert {f.name for f in dataclasses.fields(plactic.SweepConfig)} - read == set()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_examples_pass_as_doctests(monkeypatch):
+    """The ```python blocks of README.md run as one doctest, in one
+    namespace, under the default budget: all 17 examples print what the
+    README shows.  Every other line, the fences included, is blanked, so
+    a closing fence is not read as expected output and a failure names
+    its README line."""
+    monkeypatch.delenv("PLACTIC_BUDGET", raising=False)
+    lines = README.read_text().split("\n")
+    kept = []
+    inside = False
+    for line in lines:
+        fence = line.startswith("```")
+        inside = line == "```python" if fence else inside
+        kept.append(line if inside and not fence else "")
+    test = doctest.DocTestParser().get_doctest("\n".join(kept), {}, "README.md", str(README), 0)
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert len(test.examples) == 17
+    assert result.failed == 0, "".join(report)

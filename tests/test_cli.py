@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -160,23 +161,30 @@ class _Sink:
         pass
 
 
-def test_large_listing_streams_in_bounded_memory(capsys, monkeypatch):
-    """centralizer "" --len 10 --max 4 --json writes all 4^10 = 1,048,576
-    words (23 MB of text) while the traced peak stays under 32 MiB: the
-    word list is never held, only the levels, the edges and one level of
-    suffix tables (about 5 MiB).  Holding the list of tuples alone takes
-    over 100 MiB.  The bytes of a smaller listing are checked in full."""
+def _traced_listing(monkeypatch, *argv):
+    """(exit code, _Sink, traced peak in bytes) of one listing written to
+    a _Sink."""
     import tracemalloc
 
     sink = _Sink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = cli_dispatch(["centralizer", "", "--len", "10", "--max", "4", "--json"])
+        code = cli_dispatch(["centralizer", *argv])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.undo()
+    return code, sink, peak
+
+
+def test_large_listing_streams_in_bounded_memory(capsys, monkeypatch):
+    """centralizer "" --len 10 --max 4 --json writes all 4^10 = 1,048,576
+    words (23 MB of text) while the traced peak stays under 32 MiB: the
+    word list is never held, only the levels, the edges and one level of
+    suffix tables (about 5 MiB).  Holding the list of tuples alone takes
+    over 100 MiB.  The bytes of a smaller listing are checked in full."""
+    code, sink, peak = _traced_listing(monkeypatch, "", "--len", "10", "--max", "4", "--json")
     assert code == 0
     assert sink.opened == 1 + 4**10
     assert sink.size == len('{"words":[]}\n') + 4**10 * len("[1,1,1,1,1,1,1,1,1,1]") + (4**10 - 1)
@@ -184,6 +192,17 @@ def test_large_listing_streams_in_bounded_memory(capsys, monkeypatch):
     words = [list(w) for w in itertools.product(range(1, 4), repeat=4)]
     want = json.dumps({"words": words}, separators=(",", ":")) + "\n"
     assert run(capsys, "centralizer", "", "--len", "4", "--max", "3", "--json") == (0, want, "")
+
+
+def test_large_text_listing_streams_in_bounded_memory(capsys, monkeypatch):
+    """The text listing of centralizer "" --len 10 --max 4 writes its
+    4^10 lines of 20 bytes from the same walk, under the same bound."""
+    code, sink, peak = _traced_listing(monkeypatch, "", "--len", "10", "--max", "4")
+    assert code == 0
+    assert (sink.opened, sink.size) == (0, 4**10 * len("1,1,1,1,1,1,1,1,1,1\n"))
+    assert peak < 32 * 2**20, peak / 2**20
+    want = "".join(",".join(map(str, w)) + "\n" for w in itertools.product(range(1, 4), repeat=4))
+    assert run(capsys, "centralizer", "", "--len", "4", "--max", "3") == (0, want, "")
 
 
 PERFBENCH_EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -246,6 +265,42 @@ def test_count_over_budget_by_a_huge_total_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: words in [2]^20000: at least 2^20000, over the budget")
+
+
+# Each is over the default budget by its length alone.  The m = 1 cases
+# come first: a fill of their n cells fails at once, so a regression there
+# shows before a slow case runs.
+HUGE_LENGTHS = (
+    ("count", "1", "--len", "99999999999999999999", "--max", "1"),
+    ("count", "2", "--len", "3000000000", "--max", "1"),
+    ("count", "1", "--len", "10000000", "--max", "3"),
+    ("count", "1", "--len", "100000000", "--max", "3"),
+    ("conjecture", "maxri", "--w-alphabet", "3", "--w-length", "10000000", "--u-length", "1"),
+)
+
+
+def test_huge_lengths_are_refused_at_once(capsys, monkeypatch):
+    """A length over the budget is refused with one error line and exit
+    code 2, within seconds, without building m^n (m >= 2) and without
+    filling n cells (m = 1); a long word at m = 1 within it is counted."""
+    monkeypatch.delenv("PLACTIC_BUDGET", raising=False)
+    for argv in HUGE_LENGTHS:
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 5, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert run(capsys, *HUGE_LENGTHS[1])[2] == (
+        "error: letters in [1]^3000000000: 3000000000, over the budget 100000000\n")
+    assert run(capsys, *HUGE_LENGTHS[3])[2] == (
+        "error: words in [3]^100000000: at least 2^100000000, over the budget 100000000\n")
+    assert run(capsys, "count", "1", "--len", "100000", "--max", "1") == (0, "1\n", "")
+    # a sweep with no u has no pairs, whatever its w range
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "conjecture", "maxri", "--u-sum", "1", "--w-alphabet", "3",
+                       "--w-length", "10000000", "--json")
+    assert time.monotonic() - t0 < 5
+    assert code == 0 and json.loads(out)["checked"] == 0
 
 
 def test_negative_length_exits_2(capsys):
