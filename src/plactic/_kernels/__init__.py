@@ -195,9 +195,10 @@ def _tuple_letter(a):
     return (a,)
 
 
-def class_blocks(tableaux, n, letter=_tuple_letter, end=()):
-    """The words w with P(w) in ``tableaux`` (distinct tableaux of n cells,
-    as tuples of row tuples) as blocks (prefix, suffixes), in
+def class_blocks(tableaux, letter=_tuple_letter, end=()):
+    """The words w with P(w) in ``tableaux`` (a sequence of distinct
+    tableaux with the same number n of cells, as tuples of row tuples;
+    n is read off the first) as blocks (prefix, suffixes), in
     lexicographic order: the words are ``prefix + s`` for s in suffixes,
     block after block, with no sort.  A prefix is a tuple of h letters,
     and a suffix is spelled ``letter(a)`` per letter followed by ``end``;
@@ -217,6 +218,7 @@ def class_blocks(tableaux, n, letter=_tuple_letter, end=()):
     """
     if not tableaux:
         return
+    n = sum(map(len, tableaux[0]))
     edges = _reverse_edges(tableaux, n)
     h = _split_level(*_path_totals(edges, len(tableaux)))
     spelled = {}

@@ -87,7 +87,8 @@ static long long tab_insert(long long *t, const Py_ssize_t *off, long long a)
 
 /* Undo the tab_insert that grew row r: reverse-bump the last entry of row
  * r up through the rows above it, replacing the rightmost entry smaller
- * than the incoming one in each. */
+ * than the incoming one a in each, the one before the leftmost entry
+ * greater than a - 1. */
 static void tab_uninsert(long long *t, const Py_ssize_t *off, long long r)
 {
     t[1 + r]--;
@@ -96,17 +97,9 @@ static void tab_uninsert(long long *t, const Py_ssize_t *off, long long r)
         t[0]--;
     while (r-- > 0) {
         long long *row = t + off[r];
-        long long lo = 0;
-        long long hi = t[1 + r];
-        while (lo < hi) {
-            long long mid = (lo + hi) / 2;
-            if (row[mid] < a)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        long long bumped = row[lo - 1];
-        row[lo - 1] = a;
+        long long pos = row_bisect(row, t[1 + r], a - 1) - 1;
+        long long bumped = row[pos];
+        row[pos] = a;
         a = bumped;
     }
 }

@@ -206,7 +206,7 @@ def _centralizer_blocks(u: Iterable[int], n: int, m: int, budget=None, **spellin
     BudgetExceeded when m^n is over the word budget.
     """
     u = _scan_of(u, n, m, budget)
-    return _kernels.class_blocks(_kernels.commuting_tableaux(u, n, m), n, **spelling)
+    return _kernels.class_blocks(_kernels.commuting_tableaux(u, n, m), **spelling)
 
 
 def centralizer_tableaux(u: Iterable[int], n: int, m: int, budget=None) -> list:

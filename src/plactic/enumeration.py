@@ -23,14 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .centralizer import c12_columns, natural_int, require_budget, resolve_budget
-from .errors import (
-    BadParameterError,
-    BadShapeError,
-    UnsupportedFamilyError,
-    ValidationFailedError,
-    WordParseError,
-)
+from .centralizer import c12_columns, natural_int, positive_int, require_budget, resolve_budget
+from .errors import BadParameterError, BadShapeError, UnsupportedFamilyError, ValidationFailedError
 from .tableau import Tableau, f_lambda, hook_product, is_partition, iter_partitions, word
 
 
@@ -65,6 +59,14 @@ def _contents(shape: tuple) -> tuple:
     return tuple(j - i for i, row in enumerate(shape) for j in range(row))
 
 
+def _entry_bound(max_entry) -> int:
+    """``max_entry``, which must be an int and not a bool; a bound below 1
+    allows no entry."""
+    if isinstance(max_entry, bool) or not isinstance(max_entry, int):
+        raise BadParameterError(f"max_entry must be an integer, got {max_entry!r}")
+    return max_entry
+
+
 def _hook_content(contents: tuple, hooks: int, max_entry: int) -> int:
     """The hook-content formula: the product of max_entry + c over the cell
     contents c, divided by the hook product.  The empty shape has one
@@ -81,7 +83,7 @@ def ssyt_count(shape: Iterable[int], max_entry: int) -> int:
     by the hook-content formula: the product of max_entry + j - i over the
     cells (i, j), divided by the product of the hook lengths."""
     shape = tuple(shape)
-    return _hook_content(_contents(shape), hook_product(shape), max_entry)
+    return _hook_content(_contents(shape), hook_product(shape), _entry_bound(max_entry))
 
 
 def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
@@ -89,6 +91,7 @@ def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
     shape = tuple(shape)
     if not is_partition(shape):
         raise BadShapeError(f"{shape} is not a partition")
+    max_entry = _entry_bound(max_entry)
     rows = [[0] * row_len for row_len in shape]
 
     def rec(i, j):
@@ -113,10 +116,19 @@ def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
 
 @dataclass(frozen=True)
 class Family:
-    """A word family with a closed-form counting rule: single(a), staircase(k), word12."""
+    """A word family with a closed-form counting rule: single(a), staircase(k), word12.
+    The kind and its parameter are checked when the family is built."""
 
     kind: str
     param: int = 0
+
+    def __post_init__(self):
+        if self.kind == "single":
+            word((self.param,))
+        elif self.kind == "staircase":
+            positive_int(self.param, "k")
+        elif self.kind != "word12":
+            raise UnsupportedFamilyError(f"unknown family kind {self.kind!r}")
 
     @property
     def constrained_rows(self) -> int:
@@ -124,20 +136,14 @@ class Family:
             return 1
         if self.kind == "staircase":
             return self.param
-        if self.kind == "word12":
-            return 2
-        raise UnsupportedFamilyError(f"unknown family kind {self.kind!r}")
+        return 2  # word12
 
 
 def single(a: int) -> Family:
-    if a < 1:
-        raise WordParseError(f"letter must be positive, got {a}")
     return Family("single", a)
 
 
 def staircase(k: int) -> Family:
-    if k < 1:
-        raise BadParameterError(f"k must be positive, got {k}")
     return Family("staircase", k)
 
 

@@ -30,8 +30,8 @@ class TableauParseError(TableauError):
 
 
 class WordParseError(PlacticError, ValueError):
-    """Text or a sequence that is not a word: an empty, non-integer or
-    non-positive letter."""
+    """Text, a sequence or a letter passed on its own that is not a word:
+    an empty, non-integer or non-positive letter."""
 
 
 class ShapeMismatchError(PlacticError, ValueError):

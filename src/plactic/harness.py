@@ -68,12 +68,9 @@ class SweepConfig:
             if value is not None or name not in ("u_sum_bound", "budget"):
                 positive_int(value, name)
 
-    def resolved_budget(self) -> int:
-        return resolve_budget(self.budget)
-
     def echo(self, **extra) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["budget"] = self.resolved_budget()
+        out["budget"] = resolve_budget(self.budget)
         out.update(extra)
         return out
 
@@ -105,9 +102,10 @@ class SweepReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def words_up_to(alphabet: int, max_len: int, min_len: int = 0) -> Iterator[Word]:
-    """Words over [alphabet] by length, lexicographic within a length."""
-    for n in range(min_len, max_len + 1):
+def words_up_to(alphabet: int, max_len: int) -> Iterator[Word]:
+    """Words over [alphabet] of length 0 to max_len, the empty word
+    first, by length and lexicographic within a length."""
+    for n in range(max_len + 1):
         for letters in product(range(1, alphabet + 1), repeat=n):
             yield letters
 
@@ -121,12 +119,8 @@ def count_words_up_to(alphabet: int, max_len: int) -> int:
 
 
 def _u_range(cfg: SweepConfig) -> list:
-    out = []
-    for u in words_up_to(cfg.u_alphabet, cfg.u_length, min_len=1):
-        if cfg.u_sum_bound is not None and max(u) + len(u) > cfg.u_sum_bound:
-            continue
-        out.append(u)
-    return out
+    return [u for u in words_up_to(cfg.u_alphabet, cfg.u_length)
+            if u and (cfg.u_sum_bound is None or max(u) + len(u) <= cfg.u_sum_bound)]
 
 
 def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> tuple:
@@ -173,7 +167,7 @@ def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> 
                 for t, detail in found:
                     counterexamples.extend(
                         {"u": list(u), "w": list(prefix + s), "detail": detail}
-                        for prefix, suffixes in _kernels.class_blocks([t.rows], t.size)
+                        for prefix, suffixes in _kernels.class_blocks([t.rows])
                         for s in suffixes
                     )
                 counterexamples[block:] = sorted(counterexamples[block:], key=lambda c: c["w"])
@@ -240,7 +234,7 @@ def check_max_ri(cfg: SweepConfig) -> SweepReport:
 def _least_word(t) -> tuple:
     """The least word of the Knuth class of ``t``: the first word of its
     first block."""
-    prefix, suffixes = next(_kernels.class_blocks([t.rows], t.size))
+    prefix, suffixes = next(_kernels.class_blocks([t.rows]))
     return prefix + suffixes[0]
 
 

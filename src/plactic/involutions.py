@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 from . import _kernels
 from .centralizer import natural_int
-from .errors import MaxEntryExceedsMError, WordParseError
+from .errors import MaxEntryExceedsMError
 from .rsk import p_tableau
 from .tableau import SkewTableau, Tableau, Word, word
 
@@ -14,8 +14,7 @@ from .tableau import SkewTableau, Tableau, Word, word
 def bender_knuth(t: Tableau, u: int) -> Tableau:
     """Swap the multiplicities of u and u+1 in each row, fixing every
     vertically paired u / u+1 and rewriting the free ones in place."""
-    if u < 1:
-        raise WordParseError(f"letter must be positive, got {u}")
+    word((u,))
     rows = [list(r) for r in t.rows]
     for i, row in enumerate(rows):
         above = rows[i - 1] if i > 0 else []

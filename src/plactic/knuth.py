@@ -49,5 +49,5 @@ def knuth_class(w: Iterable[int]) -> frozenset:
     w = word(w)
     rows = _kernels.insertion_rows(w)
     require_budget(f_lambda(map(len, rows)), None, "words in the Knuth class")
-    blocks = _kernels.class_blocks([rows], len(w))
+    blocks = _kernels.class_blocks([rows])
     return frozenset(p + s for p, suffixes in blocks for s in suffixes)

@@ -14,22 +14,19 @@ from typing import Iterable
 
 from . import _kernels
 from ._kernels._pure import _pop, _push, _row_pass
-from .errors import QNotStandardError, ShapeMismatchError, WordParseError
+from .errors import QNotStandardError, ShapeMismatchError
 from .tableau import Tableau, Word, word
-
-# A bump trace is a tuple of (row, col, displaced-entry-or-None), 1-based,
-# one triple per row visited; only the last triple has displaced None.
-BumpTrace = tuple
 
 
 def row_insert(t: Tableau, a: int) -> tuple:
-    """Insert ``a`` into ``t`` by Schensted bumping.
+    """Insert the letter ``a`` into ``t`` by Schensted bumping.
 
     Returns (new tableau, bump trace).  Each visited row displaces at most
     one entry: the leftmost entry strictly greater than the incoming value.
+    The trace is a tuple of (row, col, displaced entry or None), 1-based,
+    one triple per row visited; only the last triple has displaced None.
     """
-    if a < 1:
-        raise WordParseError(f"letters must be positive integers, got {a!r}")
+    word((a,))
     rows = list(t.rows)
     path = []
     r = 0
@@ -116,6 +113,7 @@ def lwi_ending_at(w: Iterable[int], a: int) -> int:
     holds exactly that many entries <= a.
     """
     w = word(w)
+    word((a,))
     for i in range(len(w) - 1, -1, -1):
         if w[i] == a:
             return bisect_right(_first_row(w[:i]), a) + 1

@@ -238,11 +238,14 @@ def class_words_oracle(tableaux, n):
 
 
 def class_words(tableaux, n):
-    """The words of ``plactic._kernels.class_blocks(tableaux, n)`` as one
-    list, each prefix joined to its suffixes."""
+    """The words of ``plactic._kernels.class_blocks(tableaux)`` as one
+    list, each prefix joined to its suffixes; each has the length n of
+    the tableaux, which class_blocks reads off them."""
     from plactic import _kernels
 
-    return [p + s for p, suffixes in _kernels.class_blocks(tableaux, n) for s in suffixes]
+    words = [p + s for p, suffixes in _kernels.class_blocks(tableaux) for s in suffixes]
+    assert all(len(w) == n for w in words), n
+    return words
 
 
 def words_over(alphabet, max_len, min_len=0):

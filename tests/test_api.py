@@ -85,6 +85,16 @@ BAD_INPUTS = (
     (plactic.BadParameterError, lambda: plactic.evacuation_m(plactic.Tableau(()), -1)),
     (plactic.BadParameterError, lambda: plactic.tau_m(plactic.Tableau(((1,),)), -1)),
     (plactic.BadParameterError, lambda: plactic.split_at(plactic.Tableau(((1,),)), -1)),
+    # a letter passed on its own is checked as a word is
+    (plactic.WordParseError, lambda: plactic.row_insert(plactic.Tableau(()), 1.5)),
+    (plactic.WordParseError, lambda: plactic.row_insert(plactic.Tableau(()), True)),
+    (plactic.WordParseError, lambda: plactic.bender_knuth(plactic.Tableau(((1,),)), 1.5)),
+    (plactic.WordParseError, lambda: plactic.bender_knuth(plactic.Tableau(((1,),)), True)),
+    (plactic.WordParseError, lambda: plactic.single(1.5)),
+    (plactic.WordParseError, lambda: plactic.single(True)),
+    (plactic.WordParseError, lambda: plactic.lwi_ending_at((1, 2), 1.5)),
+    (plactic.WordParseError, lambda: plactic.Family("single", 0)),
+    (plactic.BadParameterError, lambda: plactic.Family("staircase", 0)),
 )
 
 
@@ -111,6 +121,12 @@ NON_INT_LENGTHS = {
     "shapes_n_float": lambda: plactic.count_by_shapes(plactic.single(1), 3.0, 2),
     "rc_m_float": lambda: plactic.rc_m((1, 2), 1.5),
     "tau_m_float": lambda: plactic.tau_m(plactic.Tableau(((1,),)), 1.0),
+    "staircase_k_float": lambda: plactic.staircase(2.5),
+    "staircase_k_bool": lambda: plactic.staircase(True),
+    "ssyt_count_bound_float": lambda: plactic.ssyt_count((2, 1), 2.5),
+    "ssyt_count_bound_bool": lambda: plactic.ssyt_count((2, 1), True),
+    "iter_ssyt_bound_float": lambda: list(plactic.iter_ssyt((2, 1), 2.5)),
+    "iter_ssyt_bound_bool": lambda: list(plactic.iter_ssyt((2, 1), True)),
 }
 
 

@@ -223,6 +223,22 @@ def test_perfbench_sweep_and_scan_checksums_on_both_backends(capsys, reload_kern
             assert got == want, (backend, key)
 
 
+def test_perfbench_expand_and_long_checksums_on_both_backends(capsys, reload_kernels):
+    """The 56 expand jobs and the one fixed long job of the benchmark, run
+    as their argvs, exit and print the bytes whose sha256
+    perfbench/expected.json records, on the pure backend and on the C
+    module."""
+    expected = json.loads(PERFBENCH_EXPECTED.read_text())
+    jobs = [(key, want) for workload in ("expand", "long") for key, want in expected[workload].items()]
+    assert len(jobs) == 57
+    for backend, pure_env in (("pure", "1"), ("c", None)):
+        assert reload_kernels(pure_env).BACKEND == backend
+        for key, want in jobs:
+            code, out, _ = run(capsys, *key.split())
+            got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+            assert got == want, (backend, key)
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "1", "--len", "4", "--max", "2")
     assert code == 0

@@ -145,8 +145,8 @@ def test_config_echo_excludes_shards():
 
 def test_config_budget_env(monkeypatch):
     monkeypatch.setenv("PLACTIC_BUDGET", "123")
-    assert SweepConfig().resolved_budget() == 123
-    assert SweepConfig(budget=9).resolved_budget() == 9
+    assert SweepConfig().echo()["budget"] == 123
+    assert SweepConfig(budget=9).echo()["budget"] == 9
 
 
 def test_report_serialization_is_canonical():

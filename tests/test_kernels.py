@@ -489,7 +489,7 @@ def test_split_walk_lists_the_letter_walk(reload_kernels):
                     assert class_words(tableaux, n) == class_words_oracle(tableaux, n), (u, n, m)
                     if tableaux:
                         h = _split_level(*_path_totals(_reverse_edges(tableaux, n), len(tableaux)))
-                        assert {len(p) for p, _ in kernels.class_blocks(tableaux, n)} == {h}
+                        assert {len(p) for p, _ in kernels.class_blocks(tableaux)} == {h}
     for w in words_over(3, 6):
         rows = p_oracle(w)
         assert class_words([rows], len(w)) == class_words_oracle([rows], len(w)), w
