@@ -12,13 +12,13 @@ long long, so a call with a letter beyond that range raises OverflowError
 there and is retried in pure Python.
 
 ``count_commuting`` is written once, here, on top of
-``commuting_tableaux``, and ``same_insertion`` (P(x) == P(y), the test
-behind ``in_centralizer`` and ``knuth_equivalent``) on top of
-``insertion_rows`` and the pure first-row pass.  Words are listed only
-by the block walk ``class_blocks``: the insertion paths into a set of
-tableaux, split at one level into prefixes and shared suffix tables,
-with the spelling of a letter chosen by the caller.  The centralizer
-listing and the Knuth classes join its blocks.
+``commuting_tableaux`` and the shape tally ``count_words``, and
+``same_insertion`` (P(x) == P(y), the test behind ``in_centralizer`` and
+``knuth_equivalent``) on top of ``insertion_rows`` and the pure first-row
+pass.  Words are listed only by the block walk ``class_blocks``: the
+insertion paths into a set of tableaux, split at one level into prefixes
+and shared suffix tables, with the spelling of a letter chosen by the
+caller.  The centralizer listing and the Knuth classes join its blocks.
 """
 
 from __future__ import annotations
@@ -76,15 +76,21 @@ def same_insertion(x, y):
     return insertion_rows(x) == insertion_rows(y)
 
 
+def count_words(shapes):
+    """Number of words whose insertion tableaux have the given shapes, one
+    shape per tableau: each tableau of shape lambda is P(w) for f^lambda
+    words, and the shapes are tallied first, so f^lambda is computed once
+    per shape."""
+    return sum(count * f_lambda(shape) for shape, count in Counter(shapes).items())
+
+
 def count_commuting(u, n, m):
     """Number of words w in [m]^n with P(uw) == P(wu).
 
-    Membership depends on P(w) alone, and each tableau of shape lambda is
-    P(w) for f^lambda words, so this sums f^lambda over
-    commuting_tableaux(u, n, m), computed once per shape.
+    Membership depends on P(w) alone, so this is ``count_words`` over the
+    shapes of commuting_tableaux(u, n, m).
     """
-    shapes = Counter(tuple(map(len, rows)) for rows in commuting_tableaux(u, n, m))
-    return sum(count * f_lambda(shape) for shape, count in shapes.items())
+    return count_words(tuple(map(len, rows)) for rows in commuting_tableaux(u, n, m))
 
 
 def _reverse_edges(tableaux, n):

@@ -174,6 +174,17 @@ def refuse_huge_power(scale: int, m: int, n: int, budget, what: str) -> int:
     return limit
 
 
+def refuse_at_least(k: int, budget, what: str) -> int:
+    """The budget, resolved by resolve_budget, unless a total of ``what``
+    known to be at least 2^k is both over it and past _BUILT_BITS bits:
+    then BudgetExceeded shows it as at least 2^k, and the caller builds
+    nothing."""
+    limit = resolve_budget(budget)
+    if k >= max(_BUILT_BITS, limit.bit_length()):
+        raise BudgetExceededError(f"{what}: at least 2^{k}, over the budget {_shown(limit)}")
+    return limit
+
+
 def _scan_of(u: Iterable[int], n: int, m: int, budget) -> Word:
     """word(u), once the m^n words of [m]^n fit the budget; a length or
     alphabet that is not an int >= 0 is a BadParameterError.  A fill holds

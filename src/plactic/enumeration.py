@@ -6,9 +6,9 @@ Two independent routes are provided:
   through the kernel's fill, with no family rule (the oracle);
 * ``count_by_shapes`` sums g_m(shape) * f(shape) over partitions of n,
   where g_m counts the insertion tableaux allowed by a family's
-  characterization and f is the standard tableau count.  The tableaux with
-  entries above the constrained first rows are counted by the hook-content
-  formula, one product per shape.
+  characterization and f is the standard tableau count.  Every factor is
+  a closed form: the family's head (1, hook-content, or the C(12) count of
+  ``_word12_head``) and, above the constrained first rows, hook-content.
 
 The shape sum comes in two steps.  ``_shape_terms`` lists, once per
 (family, n), each shape's m-independent factor: the head count times f,
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .centralizer import c12_columns, natural_int, positive_int, require_budget, resolve_budget
+from .centralizer import natural_int, positive_int, require_budget, resolve_budget
 from .errors import BadParameterError, BadShapeError, UnsupportedFamilyError, ValidationFailedError
 from .tableau import Tableau, f_lambda, hook_product, is_partition, iter_partitions, word
 
@@ -99,18 +99,11 @@ def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:
             yield Tableau._unchecked(tuple(tuple(r) for r in rows))
             return
         ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
+        lo = max(rows[i][j - 1] if j else 1, rows[i - 1][j] + 1 if i else 1)
         for v in range(lo, max_entry + 1):
             rows[i][j] = v
             yield from rec(ni, nj)
 
-    if not shape:
-        yield Tableau(())
-        return
     yield from rec(0, 0)
 
 
@@ -171,9 +164,14 @@ def family_of_word(u: Iterable[int]) -> Family:
 
 def _word12_head(l1: int, l2: int, cap: int) -> int:
     """Fillings of the two-row shape (l1, l2) with entries <= cap <= 2
-    allowed in the first two rows of an insertion tableau of a C(12) word."""
-    shape = (l1, l2) if l2 else ((l1,) if l1 else ())
-    return sum(c12_columns(t.columns()) for t in iter_ssyt(shape, cap))
+    allowed in the first two rows of an insertion tableau of a C(12) word.
+    Below cap 2 no column holds both 1 and 2, so only the empty shape
+    counts.  At cap 2 the l2 columns of height 2 are forced to (1, 2), and
+    the l1 - l2 singleton columns read 1s then 2s with both letters if any:
+    one filling when l1 == l2, else l1 - l2 - 1 places for the first 2."""
+    if cap < 2:
+        return int(l1 == 0)
+    return 1 if l1 == l2 else l1 - l2 - 1
 
 
 def _shape_terms(family: Family, n: int, cap: int) -> list:

@@ -39,7 +39,7 @@ from .enumeration import expand_binomial
 from .errors import BadParameterError, MaxEntryExceedsMError
 from .involutions import rc_m, tau_m
 from .rsk import p_tableau
-from .tableau import Word, f_lambda, format_word, word
+from .tableau import Word, format_word, word
 
 VERDICT_HOLDS = "holds"
 VERDICT_COUNTEREXAMPLE = "counterexample"
@@ -255,7 +255,7 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
     # The sets hold insertion tableaux; each stands for f^shape words.
     reads = [(i,) for i in range(len(sets))]
     checked, _, complete = _sweep_members([u * k for k in sets], cfg, judge, reads)
-    observed: dict = {"set_sizes": [sum(f_lambda(t.shape) for t in sets[k]) for k in sets]}
+    observed: dict = {"set_sizes": [_kernels.count_words(t.shape for t in sets[k]) for k in sets]}
     if complete:
         non_containments = []
         bad_containment = 0

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import _kernels
-from .centralizer import require_budget
-from .tableau import f_lambda, word
+from .centralizer import refuse_at_least, require_budget
+from .tableau import f_lambda, f_lambda_log2_floor, word
 
 
 def knuth_neighbors(w: Iterable[int]) -> frozenset:
@@ -44,10 +44,14 @@ def knuth_equivalent(v: Iterable[int], w: Iterable[int]) -> bool:
 def knuth_class(w: Iterable[int]) -> frozenset:
     """The Knuth class of ``w``: the words with the insertion tableau P(w).
 
-    Raises BudgetExceeded when its f^shape words are over the word budget.
+    Raises BudgetExceeded when its f^shape words are over the word budget;
+    a float lower bound refuses a huge class before f^shape is built.
     """
     w = word(w)
     rows = _kernels.insertion_rows(w)
-    require_budget(f_lambda(map(len, rows)), None, "words in the Knuth class")
+    shape = tuple(map(len, rows))
+    what = "words in the Knuth class"
+    limit = refuse_at_least(f_lambda_log2_floor(shape), None, what)
+    require_budget(f_lambda(shape), limit, what)
     blocks = _kernels.class_blocks([rows])
     return frozenset(p + s for p, suffixes in blocks for s in suffixes)

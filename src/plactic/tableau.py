@@ -119,6 +119,18 @@ def f_lambda(shape: Iterable[int]) -> int:
     return q
 
 
+def f_lambda_log2_floor(shape: tuple) -> int:
+    """A k with 2^k <= f^shape, from floats and with no big product:
+    log2 n! by lgamma less the exactly rounded sum of the hooks' log2.
+    Each of those n + 1 logs is within a few ulps, so the float is off by
+    far less than n * 2^-30 bits, and k drops that and one bit more."""
+    conj = _conjugate(shape)
+    n = sum(shape)
+    hooks = math.fsum(math.log2(row - j + conj[j] - i - 1)
+                      for i, row in enumerate(shape) for j in range(row))
+    return math.floor(math.lgamma(n + 1) / math.log(2) - hooks - 1 - n * 2**-30)
+
+
 def iter_partitions(n: int, max_parts: int | None = None) -> Iterator[tuple]:
     """Partitions of n as weakly decreasing tuples, in reverse lexicographic
     order; with ``max_parts``, only those with at most that many parts."""

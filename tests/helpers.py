@@ -5,12 +5,14 @@ code with the library: straight-line insertion without binary search,
 brute-force subsequence scans, and exhaustive filling enumeration.  The sweep
 references replay, word by word, what the conjecture sweeps compute by
 member tableau; ``per_word_rc`` takes the tau_m to test, so a forced one
-can make members fail.  Three build on the library:
+can make members fail.  Four build on the library:
 ``rectify_lowest_corner_first`` runs its single jeu de taquin slide in a
-corner order of its own, and ``split_at_oracle`` and ``tau_m_oracle``
-split a tableau by filtering its rows and glue the evacuated part back
-row by row on its Tableau, SkewTableau and evacuation_m.  ``class_words``
-is no oracle: it joins the library's listing blocks into one list.
+corner order of its own, ``split_at_oracle`` and ``tau_m_oracle`` split a
+tableau by filtering its rows and glue the evacuated part back row by row
+on its Tableau, SkewTableau and evacuation_m, and ``word12_head_oracle``
+lists the C(12) heads with iter_ssyt and filters them with c12_columns.
+``class_words`` is no oracle: it joins the library's listing blocks into
+one list.
 """
 
 from __future__ import annotations
@@ -316,6 +318,16 @@ def ssyt_fillings_oracle(shape, max_entry):
         if ok:
             out.append(tuple(tuple(grid[(i, j)] for j in range(r)) for i, r in enumerate(shape)))
     return out
+
+
+def word12_head_oracle(l1, l2, cap):
+    """The fillings of the two-row shape (l1, l2) with entries <= cap that
+    the C(12) column rule allows, counted by listing them."""
+    from plactic.centralizer import c12_columns
+    from plactic.enumeration import iter_ssyt
+
+    shape = (l1, l2) if l2 else ((l1,) if l1 else ())
+    return sum(c12_columns(t.columns()) for t in iter_ssyt(shape, cap))
 
 
 def hook_product(shape):

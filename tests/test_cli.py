@@ -208,35 +208,31 @@ def test_large_text_listing_streams_in_bounded_memory(capsys, monkeypatch):
 PERFBENCH_EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
-def test_perfbench_sweep_and_scan_checksums_on_both_backends(capsys, reload_kernels):
-    """Every sweep and scan job of the benchmark, run as its argv, exits
-    and prints the bytes whose sha256 perfbench/expected.json records, on
-    the pure backend and on the C module."""
+def _check_perfbench_checksums(capsys, reload_kernels, workloads, n_jobs):
+    """Run every job of the given perfbench workloads as its argv, on the
+    pure backend and on the C module, and compare its exit code and the
+    sha256 of its stdout with perfbench/expected.json."""
     expected = json.loads(PERFBENCH_EXPECTED.read_text())
-    jobs = [(key, want) for workload in ("sweep", "scan") for key, want in expected[workload].items()]
-    assert len(jobs) == 9
+    jobs = [(key, want) for workload in workloads for key, want in expected[workload].items()]
+    assert len(jobs) == n_jobs
     for backend, pure_env in (("pure", "1"), ("c", None)):
         assert reload_kernels(pure_env).BACKEND == backend
         for key, want in jobs:
             code, out, _ = run(capsys, *key.split())
             got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
             assert got == want, (backend, key)
+
+
+def test_perfbench_sweep_and_scan_checksums_on_both_backends(capsys, reload_kernels):
+    """Every sweep and scan job of the benchmark prints the bytes
+    perfbench/expected.json records, on both backends."""
+    _check_perfbench_checksums(capsys, reload_kernels, ("sweep", "scan"), 9)
 
 
 def test_perfbench_expand_and_long_checksums_on_both_backends(capsys, reload_kernels):
-    """The 56 expand jobs and the one fixed long job of the benchmark, run
-    as their argvs, exit and print the bytes whose sha256
-    perfbench/expected.json records, on the pure backend and on the C
-    module."""
-    expected = json.loads(PERFBENCH_EXPECTED.read_text())
-    jobs = [(key, want) for workload in ("expand", "long") for key, want in expected[workload].items()]
-    assert len(jobs) == 57
-    for backend, pure_env in (("pure", "1"), ("c", None)):
-        assert reload_kernels(pure_env).BACKEND == backend
-        for key, want in jobs:
-            code, out, _ = run(capsys, *key.split())
-            got = {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()}
-            assert got == want, (backend, key)
+    """The 56 expand jobs and the one fixed long job of the benchmark print
+    the bytes perfbench/expected.json records, on both backends."""
+    _check_perfbench_checksums(capsys, reload_kernels, ("expand", "long"), 57)
 
 
 def test_count(capsys):

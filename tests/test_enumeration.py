@@ -18,10 +18,10 @@ from plactic import (
     staircase,
     word12,
 )
-from plactic.enumeration import _fit_binomial, _partition_counts, binom, iter_ssyt
+from plactic.enumeration import _fit_binomial, _partition_counts, _word12_head, binom, iter_ssyt
 from plactic.tableau import is_partition, iter_partitions
 
-from helpers import hook_product, order_poly_oracle, ssyt_fillings_oracle, syt_count_oracle
+from helpers import hook_product, order_poly_oracle, ssyt_fillings_oracle, syt_count_oracle, word12_head_oracle
 
 
 def test_binom_guards():
@@ -194,6 +194,16 @@ def test_two_path_agreement():
                     n,
                     m,
                 )
+
+
+def test_word12_head_closed_form_matches_the_listing():
+    """The closed-form C(12) head count equals the listed and filtered
+    fillings for every two-row shape with l1 <= 14 at caps 0, 1 and 2,
+    past the n <= 5 that test_two_path_agreement reaches."""
+    for l1 in range(15):
+        for l2 in range(l1 + 1):
+            for cap in (0, 1, 2):
+                assert _word12_head(l1, l2, cap) == word12_head_oracle(l1, l2, cap), (l1, l2, cap)
 
 
 def test_single_letter_above_alphabet():

@@ -81,6 +81,17 @@ def test_count_and_words_agree(pure_kernels):
             assert ws == sorted(ws)
 
 
+def test_count_words_tallies_each_shape_once(pure_kernels, monkeypatch):
+    """count_words, behind count_commuting and the stability sweep's set
+    sizes, sums f^shape per tableau but builds f^shape once per shape."""
+    built = []
+    f_lambda = pure_kernels.f_lambda
+    monkeypatch.setattr(pure_kernels, "f_lambda", lambda shape: built.append(shape) or f_lambda(shape))
+    assert pure_kernels.count_words([(2, 1), (3,), (2, 1), (2, 1)]) == 3 * 2 + 1
+    assert sorted(built) == [(2, 1), (3,)]
+    assert pure_kernels.count_words([]) == 0
+
+
 def test_edge_ranges(pure_kernels):
     # n = 0: the empty word always commutes
     assert pure_kernels.count_commuting((3, 1), 0, 5) == 1

@@ -1,10 +1,14 @@
+import random
+import re
 from collections import defaultdict
 
 import pytest
 
 from plactic import (
     BudgetExceededError,
+    _kernels,
     f_lambda,
+    knuth,
     knuth_class,
     knuth_equivalent,
     knuth_neighbors,
@@ -73,6 +77,24 @@ def test_huge_class_is_refused_by_the_budget():
     w = tuple(1 + (i * 7919) % 63 for i in range(4000))
     with pytest.raises(BudgetExceededError, match=r"words in the Knuth class: at least 2\^"):
         knuth_class(w)
+
+
+def test_class_past_the_built_bits_is_refused_without_f_lambda(monkeypatch):
+    """A class of about 2^108,000 words is refused from the float lower
+    bound on f^shape, which never builds f^shape, and the 2^k it shows is
+    a true lower bound."""
+    rng = random.Random(31)
+    w = tuple(rng.randint(1, 50) for _ in range(20000))
+    exact_bits = f_lambda(map(len, _kernels.insertion_rows(w))).bit_length()
+
+    def refuse(shape):
+        raise AssertionError("f_lambda was built")
+
+    monkeypatch.setattr(knuth, "f_lambda", refuse)
+    with pytest.raises(BudgetExceededError, match=r"words in the Knuth class: at least 2\^") as err:
+        knuth_class(w)
+    k = int(re.search(r"at least 2\^(\d+)", str(err.value)).group(1))
+    assert 1 << 16 <= k <= exact_bits - 1
 
 
 def test_class_equals_insertion_fiber():
