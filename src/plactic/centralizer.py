@@ -43,6 +43,7 @@ def test_single_letter_rows(u: int, w: Iterable[int]) -> bool:
     """Row test for membership in C(u), u a single letter: every entry of
     the first row is <= u, and for each i the entries < u in row i match
     the entries <= u in row i+1 in number (missing rows count 0)."""
+    word((u,))
     t = p_tableau(word(w))
     rows = t.rows
     if rows and rows[0][-1] > u:
@@ -57,6 +58,7 @@ def test_single_letter_rows(u: int, w: Iterable[int]) -> bool:
 def test_single_letter_cols(u: int, w: Iterable[int]) -> bool:
     """Column test, equivalent to the row test: every column of P(w)
     contains the letter u."""
+    word((u,))
     t = p_tableau(word(w))
     return all(u in col for col in t.columns())
 
@@ -111,6 +113,7 @@ def test_c212(w: Iterable[int]) -> bool:
 
 def test_staircase(m: int, w: Iterable[int]) -> bool:
     """Membership in C(m, m-1, ..., 1): rows 1..m of P(w) have max <= m."""
+    m = positive_int(m, "m")
     t = p_tableau(word(w))
     return all(row[-1] <= m for row in t.rows[:m])
 
@@ -152,33 +155,18 @@ def require_budget(total: int, budget, what: str) -> int:
     return limit
 
 
-# A power of at most this many bits is cheap to build, and more than the
+# A total of at most this many bits is cheap to build, and more than the
 # 14,284 bits (4,300 digits) that Python prints by default.
 _BUILT_BITS = 1 << 16
-
-
-def refuse_huge_power(scale: int, m: int, n: int, budget, what: str) -> int:
-    """The budget, resolved by resolve_budget, once a total of ``what``
-    of at least scale * m ** n (ints >= 0) is not over it by n alone.
-
-    For scale >= 1 and m >= 2, m ** n >= 2 ** n, so an n at or above the
-    budget's bit length is over it.  When m ** n may then have more than
-    _BUILT_BITS bits, nothing is built: BudgetExceeded shows the total as
-    at least 2^k, k = (bits(scale) - 1) + n * (bits(m) - 1), which for
-    scale = 1 and m = 2 is the power require_budget would show.  Any
-    other total is small enough for the caller to build exactly."""
-    limit = resolve_budget(budget)
-    if scale and m >= 2 and n >= limit.bit_length() and n * m.bit_length() > _BUILT_BITS:
-        k = scale.bit_length() - 1 + n * (m.bit_length() - 1)
-        raise BudgetExceededError(f"{what}: at least 2^{k}, over the budget {_shown(limit)}")
-    return limit
 
 
 def refuse_at_least(k: int, budget, what: str) -> int:
     """The budget, resolved by resolve_budget, unless a total of ``what``
     known to be at least 2^k is both over it and past _BUILT_BITS bits:
     then BudgetExceeded shows it as at least 2^k, and the caller builds
-    nothing."""
+    nothing.  This is the one refusal that builds no total; below it the
+    caller builds the exact total, which for the bounds used here has
+    under about 2 * _BUILT_BITS bits, and require_budget compares it."""
     limit = resolve_budget(budget)
     if k >= max(_BUILT_BITS, limit.bit_length()):
         raise BudgetExceededError(f"{what}: at least 2^{k}, over the budget {_shown(limit)}")
@@ -187,12 +175,14 @@ def refuse_at_least(k: int, budget, what: str) -> int:
 
 def _scan_of(u: Iterable[int], n: int, m: int, budget) -> Word:
     """word(u), once the m^n words of [m]^n fit the budget; a length or
-    alphabet that is not an int >= 0 is a BadParameterError.  A fill holds
-    n cells, so for m = 1 the one word's n letters are charged instead."""
+    alphabet that is not an int >= 0 is a BadParameterError.  m^n is at
+    least 2^k, k = n * (bits(m) - 1), which refuse_at_least settles before
+    m^n is built.  A fill holds n cells, so for m = 1 the one word's n
+    letters are charged instead."""
     u = word(u)
     m, n = natural_int(m, "alphabet m"), natural_int(n, "word length n")
     what = f"words in [{m}]^{n}"
-    limit = refuse_huge_power(1, m, n, budget, what)
+    limit = refuse_at_least(n * (m.bit_length() - 1), budget, what)
     if m == 1:
         require_budget(n, limit, f"letters in [1]^{n}")
     else:

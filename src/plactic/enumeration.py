@@ -83,7 +83,8 @@ def ssyt_count(shape: Iterable[int], max_entry: int) -> int:
     by the hook-content formula: the product of max_entry + j - i over the
     cells (i, j), divided by the product of the hook lengths."""
     shape = tuple(shape)
-    return _hook_content(_contents(shape), hook_product(shape), _entry_bound(max_entry))
+    hooks = hook_product(shape)
+    return _hook_content(_contents(shape), hooks, _entry_bound(max_entry))
 
 
 def iter_ssyt(shape: Iterable[int], max_entry: int) -> Iterator[Tableau]:

@@ -31,11 +31,11 @@ from .centralizer import (
     centralizer_tableaux,
     natural_int,
     positive_int,
-    refuse_huge_power,
+    refuse_at_least,
     require_budget,
     resolve_budget,
 )
-from .enumeration import expand_binomial
+from .enumeration import _partition_counts, expand_binomial
 from .errors import BadParameterError, MaxEntryExceedsMError
 from .involutions import rc_m, tau_m
 from .rsk import p_tableau
@@ -126,8 +126,10 @@ def _u_range(cfg: SweepConfig) -> list:
 def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> tuple:
     """Call judge(i, n, fills) once on every block (us[i], n), n = 0 to
     w_length, after one budget check on the len(us) * (words in the w
-    range) pairs of the whole sweep, which refuse_huge_power settles
-    without building that count when the w range is huge.
+    range) pairs of the whole sweep.  That count is at least 2^k, k =
+    bits(len(us)) - 1 + w_length * (bits(w_alphabet) - 1), which
+    refuse_at_least settles before the count is built; with no u there
+    are no pairs, whatever the w range.
 
     fills holds, for each j in reads[i], the insertion tableaux of the
     members of C(us[j]) with n cells.  They come from one kernel fill per
@@ -144,9 +146,12 @@ def _sweep_members(us: list, cfg: SweepConfig, judge: Callable, reads: list) -> 
     counted.
     """
     what = "(u, w) pairs in the sweep"
-    limit = refuse_huge_power(len(us), cfg.w_alphabet, cfg.w_length, cfg.budget, what)
-    n_w = count_words_up_to(cfg.w_alphabet, cfg.w_length) if us else 0
-    budget = require_budget(len(us) * n_w, limit, what)
+    pairs = 0
+    if us:
+        k = len(us).bit_length() - 1 + cfg.w_length * (cfg.w_alphabet.bit_length() - 1)
+        refuse_at_least(k, cfg.budget, what)
+        pairs = len(us) * count_words_up_to(cfg.w_alphabet, cfg.w_length)
+    budget = require_budget(pairs, cfg.budget, what)
     keys = [tuple(_kernels.insertion_rows(us[j]) for j in js) for js in reads]
     last = {key: i for i, block_keys in enumerate(keys) for key in block_keys}
     fills: dict = {}
@@ -294,12 +299,20 @@ def _coefficient_failures(n: int, coeffs: tuple) -> list:
 def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
     """Expand c_{n,m}(1) for n = 2..n_max and test the coefficient claims:
     (a) a_0=0 and a_1=1, (b) positivity, (c) log-concavity, (d) the peak
-    sits at ceil(n/2)."""
+    sits at ceil(n/2).  The expansion to n evaluates (n+1) * p(n) shape
+    terms (see expand_binomial), and their sum over the sweep is charged
+    up front, summed only until it is over the budget."""
     t0 = time.monotonic()
     if natural_int(n_max, "n_max") < 2:
         raise BadParameterError(f"n_max must be >= 2, got {n_max}")
-    total = n_max - 1
-    resolved = require_budget(total, budget, "expansions")
+    resolved = resolve_budget(budget)
+    terms = 0
+    for n, p in zip(range(n_max + 1), _partition_counts()):
+        terms += (n + 1) * p if n >= 2 else 0
+        if terms > resolved:
+            at_least = "" if n == n_max else f", at least those to n = {n}"
+            require_budget(terms, resolved,
+                           f"shape terms in expanding c_{{n,m}}(1) for n = 2..{n_max}{at_least}")
 
     table: dict = {}
     cx = []
@@ -313,7 +326,7 @@ def check_coefficients(n_max: int, budget: int | None = None) -> SweepReport:
                 "w": [],
                 "detail": f"n={n}, coefficients {list(poly.coefficients)}: " + "; ".join(bad),
             })
-    return _report("coeffs", {"n_max": n_max, "budget": resolved}, t0, total, cx, True,
+    return _report("coeffs", {"n_max": n_max, "budget": resolved}, t0, n_max - 1, cx, True,
                    {"coefficients": table})
 
 

@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
 from .errors import (
+    BadParameterError,
     BadShapeError,
     ColumnNotStrictlyIncreasingError,
     RowNotWeaklyIncreasingError,
@@ -38,7 +39,8 @@ def parse_word(text: str) -> Word:
     """Parse '2,1,2' (canonical) or the bare digit shorthand '212'.
 
     One trailing comma is allowed, so '12,' is the one-letter word (12,).
-    Raises WordParseError, a ValueError, naming the letter it cannot read.
+    The bare form takes the ASCII digits 1-9 alone.  Raises
+    WordParseError, a ValueError, naming the letter it cannot read.
     """
     text = text.strip()
     if not text:
@@ -57,11 +59,10 @@ def parse_word(text: str) -> Word:
                 raise WordParseError(f"letter {i} of {text!r} is {part!r}, not a positive integer")
             letters.append(a)
         return tuple(letters)
-    if text.isdigit():
-        if "0" in text:
-            raise WordParseError(f"bare digit form cannot contain 0: {text!r}")
-        return tuple(int(ch) for ch in text)
-    raise WordParseError(f"cannot parse word {text!r}")
+    bad = text.strip("123456789")  # empty iff every character is a digit 1-9
+    if bad:
+        raise WordParseError(f"bare digit form cannot contain {bad[0]!r}: {text!r}")
+    return tuple(map(int, text))
 
 
 def format_word(w: Iterable[int]) -> str:
@@ -74,7 +75,7 @@ def format_word(w: Iterable[int]) -> str:
 
 def is_partition(parts: Iterable[int]) -> bool:
     parts = tuple(parts)
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    return all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 
@@ -133,7 +134,11 @@ def f_lambda_log2_floor(shape: tuple) -> int:
 
 def iter_partitions(n: int, max_parts: int | None = None) -> Iterator[tuple]:
     """Partitions of n as weakly decreasing tuples, in reverse lexicographic
-    order; with ``max_parts``, only those with at most that many parts."""
+    order; with ``max_parts``, only those with at most that many parts.
+    n and max_parts are ints, not bools; a negative one allows none."""
+    for value in (n, 0 if max_parts is None else max_parts):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise BadParameterError(f"partition bounds must be integers, got {value!r}")
     if n == 0:
         yield ()
     if n <= 0 or (max_parts is not None and max_parts < 1):

@@ -95,6 +95,13 @@ BAD_INPUTS = (
     (plactic.WordParseError, lambda: plactic.lwi_ending_at((1, 2), 1.5)),
     (plactic.WordParseError, lambda: plactic.Family("single", 0)),
     (plactic.BadParameterError, lambda: plactic.Family("staircase", 0)),
+    (plactic.BadParameterError, lambda: plactic.test_staircase(0, (1,))),
+    (plactic.WordParseError, lambda: plactic.test_single_letter_rows(0, (1,))),
+    (plactic.WordParseError, lambda: plactic.test_single_letter_rows(1.5, (1,))),
+    (plactic.WordParseError, lambda: plactic.test_single_letter_cols(True, (1,))),
+    # the shape is checked before its cells are read
+    (plactic.BadShapeError, lambda: plactic.ssyt_count((2, 1.5), 3)),
+    (plactic.BadShapeError, lambda: plactic.f_lambda((True,))),
 )
 
 
@@ -127,6 +134,10 @@ NON_INT_LENGTHS = {
     "ssyt_count_bound_bool": lambda: plactic.ssyt_count((2, 1), True),
     "iter_ssyt_bound_float": lambda: list(plactic.iter_ssyt((2, 1), 2.5)),
     "iter_ssyt_bound_bool": lambda: list(plactic.iter_ssyt((2, 1), True)),
+    "staircase_test_m_float": lambda: plactic.test_staircase(2.5, (1,)),
+    "partitions_n_float": lambda: list(plactic.iter_partitions(2.5)),
+    "partitions_n_bool": lambda: list(plactic.iter_partitions(True)),
+    "partitions_max_parts_float": lambda: list(plactic.iter_partitions(4, 1.5)),
 }
 
 

@@ -14,6 +14,7 @@ from plactic import (
     check_rc,
     check_rc_sweep,
     check_stability,
+    count_centralizer_words,
     in_centralizer,
     rc_m,
     tau_m,
@@ -217,6 +218,23 @@ def test_huge_sweep_is_refused_by_the_budget():
     cfg = SweepConfig(u_alphabet=1, u_length=1, w_alphabet=2, w_length=20000)
     with pytest.raises(BudgetExceededError, match=r"pairs in the sweep: at least 2\^20000, over"):
         check_max_ri(cfg)
+
+
+def test_one_rule_refuses_every_total_too_large_to_build():
+    """Under 2^65536 a total is built and shows its exact bit length,
+    whether it counts words or sweep pairs; only refuse_at_least refuses
+    a total without building it."""
+    import plactic.centralizer as centralizer
+
+    assert (3**40000).bit_length() - 1 == 63398
+    with pytest.raises(BudgetExceededError, match=r"words in \[3\]\^40000: at least 2\^63398, over"):
+        count_centralizer_words((1,), 40000, 3)
+    # one u against the (3^40001 - 1) / 2 words of [3]^<=40000
+    assert count_words_up_to(3, 40000).bit_length() - 1 == 63399
+    cfg = SweepConfig(u_alphabet=1, u_length=1, w_alphabet=3, w_length=40000)
+    with pytest.raises(BudgetExceededError, match=r"pairs in the sweep: at least 2\^63399, over"):
+        check_max_ri(cfg)
+    assert not hasattr(centralizer, "refuse_huge_power")
 
 
 def test_each_sweep_checks_its_budget_once(monkeypatch):
@@ -429,9 +447,16 @@ def test_coefficients_validation():
         check_coefficients(1)
     with pytest.raises(BudgetExceededError):
         check_coefficients(8, budget=3)
-    # 7 expansions fit in 100, but n = 7 sums (6 + 2) * p(7) = 120 shape terms
+    # 7 expansions fit in 100, but their shape terms for n = 2..6 sum to 162
     with pytest.raises(BudgetExceededError, match="shape terms"):
         check_coefficients(8, budget=100)
+    # each expansion to n = 20 fits 20,000 ((n + 1) * p(n) is 13,167 at
+    # n = 20), but the sweep sums 48,725 shape terms
+    with pytest.raises(BudgetExceededError, match="shape terms .*, over the budget 20000"):
+        check_coefficients(20, budget=20_000)
+    with pytest.raises(BudgetExceededError, match=": 48725, over the budget 48724"):
+        check_coefficients(20, budget=48_724)
+    assert check_coefficients(20, budget=48_725).checked == 19
 
 
 def test_coefficients_counterexamples_past_n_10():

@@ -117,6 +117,10 @@ def test_parse_word_names_the_bad_letter():
         parse_word("102")
     with pytest.raises(WordParseError, match="'ab'"):
         parse_word("ab")
+    # the bare form takes the ASCII digits 1-9 alone
+    for text, char in (("²", "'²'"), ("١٢", "'١'")):
+        with pytest.raises(WordParseError, match=char):
+            parse_word(text)
 
 
 def test_format_word_roundtrip():
