@@ -1,4 +1,13 @@
-"""Command-line interface.
+"""Command-line interface: ``plactic COMMAND [ARGUMENTS]``.
+
+parse_args reads argv against the COMMANDS table.  A command takes its
+positionals in table order and its options by their exact names, as
+``--name value`` or ``--name=value``; the switch ``--json`` asks for
+JSON, and ``-h`` or ``--help`` anywhere prints help, unless an argument
+before it is already a usage error.  Prefix abbreviations such as
+``--le`` and joined short options such as ``-hh`` are not read.  A word
+that starts with a dash is an option unless it is a negative number or
+holds a space.
 
 Exit codes: 0 for success (or a conjecture sweep that holds), 1 when a
 sweep finds a counterexample, 2 for usage errors, budget violations, and
@@ -7,9 +16,10 @@ interrupted (incomplete) sweeps.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .centralizer import _centralizer_blocks, count_centralizer_words, in_centralizer
 from .enumeration import expand_binomial
@@ -37,7 +47,9 @@ def _int(**options) -> dict:
     return {"type": int, **options}
 
 
-# command -> (help, [(argument, add_argument options)]); every command also takes --json
+# command -> (help, [(argument, spec)]): a positional's name or an option's flag,
+# with the type, default, required, choices and help that parse_args reads;
+# every command also takes -h and --json
 COMMANDS = {
     "ptab": ("print the insertion tableau of a word",
              [("word", {"help": "comma-separated letters, or bare digits like 212"})]),
@@ -67,27 +79,150 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv. When argv[0] names a command only its subparser
-    is built, and the usage line still lists every command; otherwise
-    (no command, -h, an unknown command) all of them are."""
-    parser = argparse.ArgumentParser(
-        prog="plactic",
-        description="Insertion tableaux, centralizers of the plactic monoid, "
-                    "exact counts, and conjecture sweeps.",
-    )
-    if argv and argv[0] in COMMANDS:
-        names, extra = [argv[0]], {"metavar": "{" + ",".join(COMMANDS) + "}"}
+_HELP = {"-h": None, "--help": None}  # flag -> None: a switch, which takes no value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option
+
+
+def _is_option(token: str, flags) -> bool:
+    """Whether token is an option, as argparse reads it: one of flags,
+    alone or as flag=value, or any other dash word that is neither a lone
+    dash nor a negative number and holds no space."""
+    return token.partition("=")[0] in flags or (
+        token[:1] == "-" and len(token) > 1 and " " not in token and not _NEGATIVE.match(token))
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _metavar(flag: str, options: dict) -> str:
+    if "choices" in options:
+        return "{" + ",".join(options["choices"]) + "}"
+    return flag if flag[0] != "-" else f"{flag} {_dest(flag).upper()}"
+
+
+_CHOICES = _metavar("command", {"choices": COMMANDS})
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: plactic [-h] {_CHOICES} ..."
+    arguments = COMMANDS[command][1]
+    options = [_metavar(flag, spec) if spec.get("required") else f"[{_metavar(flag, spec)}]"
+               for flag, spec in arguments if flag[0] == "-"]
+    positionals = [_metavar(flag, spec) for flag, spec in arguments if flag[0] != "-"]
+    return " ".join(["usage: plactic", command, "[-h]", "[--json]", *options, *positionals])
+
+
+def _help(command):
+    """Print the usage and the arguments of command (of plactic itself
+    for None) and exit 0."""
+    head, options = [], [("-h, --help", "show this help message and exit")]
+    if command is None:
+        head = ["", "Insertion tableaux, centralizers of the plactic monoid, exact counts, and",
+                "conjecture sweeps."]
+        positionals = [(_CHOICES, None)] + [("  " + name, text) for name, (text, _) in COMMANDS.items()]
     else:
-        names, extra = list(COMMANDS), {}
-    sub = parser.add_subparsers(dest="command", required=True, **extra)
-    for name in names:
-        help_text, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-    return parser
+        arguments = COMMANDS[command][1]
+        positionals = [(_metavar(flag, spec), spec.get("help")) for flag, spec in arguments if flag[0] != "-"]
+        options.append(("--json", "emit a JSON object instead of text"))
+        options += [(_metavar(flag, spec), spec.get("help")) for flag, spec in arguments if flag[0] == "-"]
+    lines = [_usage(command), *head]
+    for title, rows in (("positional arguments:", positionals), ("options:", options)):
+        lines += ["", title]
+        for name, text in rows:
+            if not text:
+                lines.append(f"  {name}")
+            else:
+                lines.append(f"  {name:<20}  {text}" if len(name) <= 20 else f"  {name}\n{'':24}{text}")
+    print("\n".join(lines))
+    raise SystemExit(0)
+
+
+def _fail(command, message: str):
+    """Print the usage and a usage error and exit 2."""
+    prog = "plactic" if command is None else f"plactic {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _switch(command, token: str):
+    """Read -h, --help or --json, which take no value: help exits."""
+    flag, eq, text = token.partition("=")
+    if eq:
+        _fail(command, f"argument {flag}: ignored explicit argument {text!r}")
+    if flag != "--json":
+        _help(command)
+
+
+def _convert(command, name: str, spec: dict, text: str):
+    """text read by the argument's type and checked against its choices."""
+    kind = spec.get("type", str)
+    try:
+        value = kind(text)
+    except ValueError:
+        _fail(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
+    if "choices" in spec and value not in spec["choices"]:
+        choices = ", ".join(map(repr, spec["choices"]))
+        _fail(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """argv read against COMMANDS: the command, then its positionals in
+    table order and its options by exact name, as ``--name value`` or
+    ``--name=value``, each read by its type and checked against its
+    choices; ``--json`` is a switch.  Returns one attribute per argument,
+    with the default of each option not given, as argparse's Namespace
+    had.  -h or --help prints help and exits 0; a usage error prints the
+    usage and the error and exits 2, both by SystemExit and at the token
+    where argparse stopped, so the exit code is argparse's."""
+    tokens = iter(argv)
+    extras = []
+    for token in tokens:
+        if not _is_option(token, _HELP):
+            break
+        if token.partition("=")[0] in _HELP:
+            _switch(None, token)
+        extras.append(token)
+    else:
+        _fail(None, "the following arguments are required: command")
+    command = _convert(None, "command", {"choices": COMMANDS}, token)
+    arguments = COMMANDS[command][1]
+    flags = {**_HELP, "--json": None, **{flag: spec for flag, spec in arguments if flag[0] == "-"}}
+    pending = [(flag, spec) for flag, spec in reversed(arguments) if flag[0] != "-"]
+    values = {"command": command, "json": False}
+    values.update((_dest(flag), spec.get("default")) for flag, spec in arguments)
+    given = set()
+    for token in tokens:
+        if _is_option(token, flags):
+            flag, eq, text = token.partition("=")
+            if flag not in flags:
+                extras.append(token)
+                continue
+            spec = flags[flag]
+            if spec is None:
+                _switch(command, token)
+                values["json"] = True
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None or _is_option(text, flags):
+                    _fail(command, f"argument {flag}: expected one argument")
+        elif pending:
+            (flag, spec), text = pending.pop(), token
+        else:
+            extras.append(token)
+            continue
+        values[_dest(flag)] = _convert(command, flag, spec, text)
+        given.add(flag)
+    missing = [flag for flag, spec in arguments
+               if flag not in given and (flag[0] != "-" or spec.get("required"))]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 class _Digits(dict):
@@ -175,7 +310,7 @@ def _run_conjecture(args) -> int:
 
 def cli_dispatch(argv) -> int:
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Iterable, Iterator
@@ -39,7 +40,7 @@ from .enumeration import _partition_counts, expand_binomial
 from .errors import BadParameterError, MaxEntryExceedsMError
 from .involutions import rc_m, tau_m
 from .rsk import p_tableau
-from .tableau import Word, format_word, word
+from .tableau import Word, f_lambda, format_word, word
 
 VERDICT_HOLDS = "holds"
 VERDICT_COUNTEREXAMPLE = "counterexample"
@@ -260,7 +261,10 @@ def check_stability(u: Iterable[int], cfg: SweepConfig) -> SweepReport:
     # The sets hold insertion tableaux; each stands for f^shape words.
     reads = [(i,) for i in range(len(sets))]
     checked, _, complete = _sweep_members([u * k for k in sets], cfg, judge, reads)
-    observed: dict = {"set_sizes": [_kernels.count_words(t.shape for t in sets[k]) for k in sets]}
+    # S_k has f^shape words per tableau; f^shape is computed once across the k
+    tallies = [Counter(t.shape for t in sets[k]) for k in sets]
+    f = {shape: f_lambda(shape) for shape in set().union(*tallies)}
+    observed: dict = {"set_sizes": [sum(n * f[shape] for shape, n in tally.items()) for tally in tallies]}
     if complete:
         non_containments = []
         bad_containment = 0

@@ -39,8 +39,9 @@ def parse_word(text: str) -> Word:
     """Parse '2,1,2' (canonical) or the bare digit shorthand '212'.
 
     One trailing comma is allowed, so '12,' is the one-letter word (12,).
-    The bare form takes the ASCII digits 1-9 alone.  Raises
-    WordParseError, a ValueError, naming the letter it cannot read.
+    The letters are written in ASCII digits, the bare form's in 1-9
+    alone.  Raises WordParseError, a ValueError, naming the letter it
+    cannot read.
     """
     text = text.strip()
     if not text:
@@ -49,10 +50,12 @@ def parse_word(text: str) -> Word:
         parts = text.split(",")
         if parts[-1] == "":
             parts.pop()
+        # int() also reads other digits, "_" and "+": test the text once
+        plain = text.isascii() and "_" not in text and "+" not in text
         letters = []
         for i, part in enumerate(parts, 1):
             try:
-                a = int(part)
+                a = int(part) if plain or (part.isascii() and part.strip().isdigit()) else None
             except ValueError:
                 a = None
             if a is None or a < 1:

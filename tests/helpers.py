@@ -12,11 +12,13 @@ tableau by filtering its rows and glue the evacuated part back row by row
 on its Tableau, SkewTableau and evacuation_m, and ``word12_head_oracle``
 lists the C(12) heads with iter_ssyt and filters them with c12_columns.
 ``class_words`` is no oracle: it joins the library's listing blocks into
-one list.
+one list.  ``full_parser`` builds, with argparse, the parser the CLI used
+before it read argv from its COMMANDS table itself.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from math import comb, prod
 
@@ -385,3 +387,21 @@ def tau_m_oracle(t, m):
         big = high.rows[i] if i < len(high.rows) else ()
         rows.append(small + big)
     return Tableau(rows)
+
+
+def full_parser(commands):
+    """The argparse parser of every command in ``commands`` (the CLI's
+    COMMANDS table), each with --json, as the CLI built it before it read
+    argv itself."""
+    parser = argparse.ArgumentParser(
+        prog="plactic",
+        description="Insertion tableaux, centralizers of the plactic monoid, "
+                    "exact counts, and conjecture sweeps.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser

@@ -1,5 +1,7 @@
-import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import itertools
 import json
 import os
@@ -9,12 +11,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import plactic
 from plactic import SweepReport
-from plactic.cli import COMMANDS, build_parser, cli_dispatch
+from plactic.cli import COMMANDS, cli_dispatch, parse_args
 
-from helpers import centralizer_oracle
+from helpers import centralizer_oracle, full_parser
 
 
 def run(capsys, *argv):
@@ -235,6 +239,45 @@ def test_perfbench_expand_and_long_checksums_on_both_backends(capsys, reload_ker
     _check_perfbench_checksums(capsys, reload_kernels, ("expand", "long"), 57)
 
 
+def _perfbench_argvs(names=None):
+    """The argv of every CLI job of the named perfbench workloads (all four
+    by default; seed 1)."""
+    path = PERFBENCH_EXPECTED.with_name("workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [job.args for name in names or workloads.WORKLOADS for job in workloads.jobs_for(name, 1)
+            if job.kind == "cli"]
+
+
+def test_stability_sweeps_compute_each_f_lambda_once(capsys, monkeypatch):
+    """check_stability tallies the shapes of every S_k and computes each
+    f^shape once: the stability sweeps of the benchmark make 31 f_lambda
+    calls each, one per shape (217 in all when each k had its own), and
+    every sweep job still prints the bytes perfbench/expected.json records."""
+    import plactic.tableau
+
+    real, shapes = plactic.tableau.f_lambda, []
+
+    def counted(shape):
+        shapes.append(tuple(shape))
+        return real(shape)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("plactic") and getattr(module, "f_lambda", None) is real:
+            monkeypatch.setattr(module, "f_lambda", counted)
+    expected = json.loads(PERFBENCH_EXPECTED.read_text())["sweep"]
+    calls = []
+    for argv in _perfbench_argvs(["sweep"]):
+        before = len(shapes)
+        code, out, _ = run(capsys, *argv)
+        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == expected[" ".join(argv)]
+        calls.append(len(shapes) - before)
+    assert [argv[1] for argv in _perfbench_argvs(["sweep"])] == ["maxri", "stability", "stability", "rc"]
+    assert calls == [0, 31, 31, 0]
+    assert len(set(shapes)) == 31
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "1", "--len", "4", "--max", "2")
     assert code == 0
@@ -335,6 +378,11 @@ def test_usage_errors(capsys):
     assert code == 2
     assert "plactic: error: argument command: invalid choice: 'frobnicate'" in err
     assert run(capsys, "count", "1", "--len", "4")[0] == 2
+    # options are read by their exact names; argparse also took a prefix
+    assert run(capsys, "expand", "1", "--len=4")[:2] == (0, "C(m,1) + 4*C(m,2) + C(m,3)\n")
+    code, out, err = run(capsys, "expand", "1", "--le", "4")
+    assert (code, out) == (2, "")
+    assert err.endswith("plactic expand: error: the following arguments are required: --len\n")
 
 
 def test_conjecture_stability_requires_u(capsys):
@@ -509,50 +557,140 @@ PARSER_CASES = [
     ["ptab", "212"], ["commutes", "21", "1", "--json"], ["centralizer", "1", "--len", "2", "--max", "2"],
     ["count", "1", "--len", "3", "--max", "2"], ["expand", "21", "--len", "4"],
     ["conjecture", "rc", "--u", "1", "--m", "2", "--w-alphabet", "2", "--shards", "2"],
+    # where argparse stops: a bad command, int or choice before -h is an
+    # error, an unknown option or an extra word before it is not
+    ["x", "-h"], ["--json", "expand", "-h"], ["-x", "ptab", "1"], ["expand", "21", "--len", "x", "-h"],
+    ["expand", "21", "--bogus", "-h"], ["expand", "21", "x", "--help"], ["conjecture", "nope", "-h"],
+    ["ptab", "--help=x", "-h"], ["ptab", "1", "--json=1"],
+    # values: negative numbers, a lone dash and words with a space are not
+    # options; an option's value may not be an option
+    ["expand", "-1", "--len", "-1"], ["expand", "-", "--len", "3"], ["expand", "-x y", "--len", "3"],
+    ["conjecture", "rc", "--u", "--json"], ["expand", "21", "--len"], ["expand", "21", "--len=3", "--json"],
+    ["commutes", "1", "--json", "2"], ["count", "1", "--len", "3", "--len", "4", "--max=2"],
+    ["expand", "21", "--len", " 3 "],
 ]
 
 
-def parse(capsys, parser, argv):
-    """(the Namespace, or the exit code of a help or usage error, stdout, stderr)"""
-    try:
-        result = parser.parse_args(argv)
-    except SystemExit as exc:
-        result = exc.code
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+def read(parse, argv):
+    """(vars of the namespace parse returns for argv, or the exit code of
+    a help or usage error, stdout, stderr)"""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+ORACLE = full_parser(COMMANDS)
+
+
+def check_reading(argv):
+    """parse_args reads argv as the argparse parser of every command did:
+    the same values, or help and exit 0 on both, or a usage error and
+    exit 2 on both, the reader printing its help or its usage and error.
+    Returns what the reader gave."""
+    want = read(ORACLE.parse_args, argv)[0]
+    got, out, err = read(parse_args, argv)
+    assert got == want, argv
+    if got == 0:
+        assert out.startswith("usage: plactic") and not err, argv
+    elif got == 2:
+        assert not out and err.startswith("usage: plactic") and "error: " in err.splitlines()[1], argv
+    return got
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
-def test_cli_text_matches_the_full_parser(capsys, monkeypatch, argv):
-    """The parser built for argv reads it as the parser of every command
-    does: the same Namespace, or the same help, error text and exit code."""
-    monkeypatch.setenv("COLUMNS", "80")
-    full = parse(capsys, build_parser(), argv)
-    assert parse(capsys, build_parser(argv), argv) == full
-    if not isinstance(full[0], argparse.Namespace):
-        assert run(capsys, *argv) == full
+def test_cli_text_matches_the_full_parser(capsys, argv):
+    """The reader reads argv as the argparse parser of every command did,
+    and cli_dispatch exits with the code of its help or usage error."""
+    got = check_reading(argv)
+    if not isinstance(got, dict):
+        assert run(capsys, *argv) == (got, *read(parse_args, argv)[1:])
 
 
-def _commands(parser):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
+FLAGS = sorted({"-h", "--help", "--json"} | {flag for _, arguments in COMMANDS.values()
+                                             for flag, _ in arguments if flag[0] == "-"})
+JUNK = ["x", "", "-", "-x", "--bogus", "--bogus=1", "1 2", "-x y", "-1", "-0.5", "=", "--json=",
+        "--json=1", "--help=x", "--len=", "--len=x", "--max= 2", "--u=", "12,", "٣"]
+INTS = st.integers(-3, 12).map(str)
+VALUES = st.one_of(INTS, st.sampled_from(["212", "1,2", "", "x", "rc", "-", "-x y", "-1", "--json"]))
+TOKENS = st.one_of(st.sampled_from(list(COMMANDS) + FLAGS + JUNK), VALUES)
 
 
-def test_a_command_builds_only_its_own_subparser():
-    assert _commands(build_parser()) == list(COMMANDS)
-    for name in COMMANDS:
-        assert _commands(build_parser([name])) == [name]
+@st.composite
+def command_argvs(draw):
+    """A command, then its arguments in any order, each positional and
+    required option most often given, other options sometimes, as
+    --name value or --name=value, with now and then a token of TOKENS
+    before the command or among its arguments."""
+    lead = draw(st.lists(st.sampled_from(["-h", "--json", "-x", "--bogus=1"]), max_size=2))[1:]
+    command = draw(st.sampled_from(list(COMMANDS)))
+    pieces = [["--json"]] if draw(st.booleans()) else []
+    for flag, spec in COMMANDS[command][1]:
+        odds = draw(st.integers(0, 9))
+        if "choices" in spec and odds:
+            value = draw(st.sampled_from(spec["choices"]))
+        else:
+            value = draw(INTS if spec.get("type") is int else VALUES)
+        if flag[0] != "-" and odds:
+            pieces.append([value])
+        elif odds > (1 if spec.get("required") else 6):
+            pieces.append([f"{flag}={value}"] if odds % 2 else [flag, value])
+    pieces += [[token] for token in draw(st.lists(TOKENS, max_size=3))[1:]]
+    return [*lead, command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+def _abbreviates(argv) -> bool:
+    """Whether a token of argv is the proper prefix of an option of plactic
+    or of a command argv names: argparse took it for the option, the
+    reader takes no abbreviation."""
+    heads = {token.partition("=")[0] for token in argv if token[:2] == "--"}
+    flag_sets = [{"--help"}] + [{"--help", "--json", *(flag for flag, _ in COMMANDS[command][1])}
+                                for command in set(argv) & COMMANDS.keys()]
+    return any(head not in flags and any(flag.startswith(head) for flag in flags)
+               for flags in flag_sets for head in heads)
+
+
+def test_reader_matches_the_full_parser_on_perfbench_and_generated_argvs():
+    """The argv of every perfbench CLI job, and argvs made of command names,
+    flags, ints and junk, read the same as by the argparse parser."""
+    argvs = _perfbench_argvs()
+    assert len(argvs) == 81
+    for argv in argvs:
+        check_reading(argv)
+        assert read(parse_args, argv)[0]["command"] == argv[0]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.lists(TOKENS, max_size=6), command_argvs()))
+    def generated(argv):
+        assume(not _abbreviates(argv))
+        check_reading(argv)
+
+    generated()
+
+
+def python(*args):
+    """A fresh interpreter run with args, importing plactic from the
+    source tree under test."""
+    src = str(pathlib.Path(plactic.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"), timeout=60)
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """The CLI reads argv itself, so a call does not pay to import
+    argparse and gettext."""
+    assert python("-c", "import plactic.cli, sys; print('argparse' in sys.modules)").stdout == "False\n"
 
 
 def test_console_entry_point():
     """python -m plactic.cli runs main(), which exits with cli_dispatch's code."""
-    src = str(pathlib.Path(plactic.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
 
     def console(*argv):
-        return subprocess.run([sys.executable, "-m", "plactic.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        return python("-m", "plactic.cli", *argv)
 
     shown = console("--help")
     assert shown.returncode == 0

@@ -109,7 +109,9 @@ def test_parse_word_forms():
 
 
 def test_parse_word_names_the_bad_letter():
-    for text, part in ((",", "''"), ("1,,2", "''"), ("12,,", "''"), ("1,x", "'x'"), ("2,1,0", "'0'"), ("3,-1", "'-1'")):
+    for text, part in ((",", "''"), ("1,,2", "''"), ("12,,", "''"), ("1,x", "'x'"), ("2,1,0", "'0'"), ("3,-1", "'-1'"),
+                       ("١,٢", "letter 1 .* '١'"), ("1_0,2", "letter 1 .* '1_0'"), ("+3,2", "letter 1 .* '\\+3'"),
+                       ("1, 2,+3", "letter 3 .* '\\+3'")):
         with pytest.raises(WordParseError, match=part) as info:
             parse_word(text)
         assert isinstance(info.value, ValueError)
